@@ -28,10 +28,9 @@ func main() {
 // run is the testable body of the command: flags parse from args, output
 // goes to out, and failures return instead of exiting the process.
 func run(args []string, out io.Writer) error {
-	// Persist any GEMM autotuner and sparse-crossover decisions this
-	// process probed before it exits — the debounced background savers
-	// cannot be relied on in a short-lived command (see samo.FlushTuneTable).
-	defer func() { _ = samo.FlushTuneTable() }()
+	// Persist any sparse-crossover decisions this process probed before it
+	// exits — the debounced background saver cannot be relied on in a
+	// short-lived command (see samo.FlushXoverTable).
 	defer func() { _ = samo.FlushXoverTable() }()
 	fs := flag.NewFlagSet("samo-experiments", flag.ContinueOnError)
 	// Parse errors are returned (main prints them once, to stderr);

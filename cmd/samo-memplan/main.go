@@ -31,12 +31,11 @@ func main() {
 // run is the testable body of the command: flags parse from args, output
 // goes to out, and failures return instead of exiting the process.
 func run(args []string, out io.Writer) error {
-	// Persist any GEMM autotuner decisions this process probed before it
+	// Persist any sparse-crossover decisions this process probed before it
 	// exits, like the other cmds — the debounced background saver cannot
-	// be relied on in a short-lived command (see samo.FlushTuneTable).
-	// Today memplan's analytic pipeline runs no GEMMs, so this is a free
+	// be relied on in a short-lived command (see samo.FlushXoverTable).
+	// Today memplan's analytic pipeline runs no kernels, so this is a free
 	// no-op; it keeps the exit contract uniform if a future planner does.
-	defer func() { _ = samo.FlushTuneTable() }()
 	defer func() { _ = samo.FlushXoverTable() }()
 	fs := flag.NewFlagSet("samo-memplan", flag.ContinueOnError)
 	// Parse errors are returned (main prints them once, to stderr);

@@ -43,9 +43,8 @@ func main() {
 // run is the testable body of the command: flags parse from args, output
 // goes to out, and failures return instead of exiting the process.
 func run(args []string, out io.Writer) error {
-	// The serve engine's Close flushes both autotuner tables, but every
+	// The serve engine's Close flushes the crossover table, but every
 	// error exit path should too — same contract as the other cmds.
-	defer func() { _ = samo.FlushTuneTable() }()
 	defer func() { _ = samo.FlushXoverTable() }()
 	fs := flag.NewFlagSet("samo-serve", flag.ContinueOnError)
 	// Parse errors are returned (main prints them once, to stderr);

@@ -13,7 +13,6 @@ import (
 // forward-only state, concurrent serving — and relies on run's own bitwise
 // verification against the offline forward.
 func TestSmokeMLP(t *testing.T) {
-	t.Setenv("SAMO_GEMM_TUNE", "off")
 	t.Setenv("SAMO_SPARSE_XOVER_TABLE", "off")
 	var out bytes.Buffer
 	err := run([]string{"-mode", "smoke", "-model", "mlp", "-hidden", "16",
@@ -29,7 +28,6 @@ func TestSmokeMLP(t *testing.T) {
 
 // TestSmokeGPTSAMO exercises the compressed-checkpoint handoff.
 func TestSmokeGPTSAMO(t *testing.T) {
-	t.Setenv("SAMO_GEMM_TUNE", "off")
 	t.Setenv("SAMO_SPARSE_XOVER_TABLE", "off")
 	var out bytes.Buffer
 	err := run([]string{"-mode", "smoke", "-samo", "-hidden", "16",
@@ -46,7 +44,6 @@ func TestSmokeGPTSAMO(t *testing.T) {
 // TestLoadtestReport checks the report lands where -out points, with the
 // fields the bench gate reads.
 func TestLoadtestReport(t *testing.T) {
-	t.Setenv("SAMO_GEMM_TUNE", "off")
 	t.Setenv("SAMO_SPARSE_XOVER_TABLE", "off")
 	path := filepath.Join(t.TempDir(), "BENCH_serving.json")
 	var out bytes.Buffer
@@ -74,7 +71,6 @@ func TestLoadtestReport(t *testing.T) {
 // TestBadFlags pins the error paths: unknown mode/model/pad, and the
 // smoke + pow2 combination (smoke's bitwise claim needs fixed geometry).
 func TestBadFlags(t *testing.T) {
-	t.Setenv("SAMO_GEMM_TUNE", "off")
 	t.Setenv("SAMO_SPARSE_XOVER_TABLE", "off")
 	for _, args := range [][]string{
 		{"-mode", "nope"},

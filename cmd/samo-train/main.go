@@ -30,13 +30,11 @@ func main() {
 // run is the testable body of the command: flags parse from args, output
 // goes to out, and failures return instead of exiting the process.
 func run(args []string, out io.Writer) error {
-	// The autotuners' background savers debounce writes, so a short
-	// training run can exit before any decision reaches disk; flush both
-	// tables synchronously on every exit path (best-effort — a failed write
-	// only means the next run re-probes). The crossover flush matters most
-	// here: it is what hands a later samo-serve this run's frozen
-	// sparse/dense execution paths.
-	defer func() { _ = samo.FlushTuneTable() }()
+	// The crossover table's background saver debounces writes, so a short
+	// training run can exit before any decision reaches disk; flush it
+	// synchronously on every exit path (best-effort — a failed write only
+	// means the next run re-probes). It is what hands a later samo-serve
+	// this run's frozen sparse/dense execution paths.
 	defer func() { _ = samo.FlushXoverTable() }()
 	fs := flag.NewFlagSet("samo-train", flag.ContinueOnError)
 	// Parse errors are returned (main prints them once, to stderr);

@@ -254,7 +254,6 @@ func TestGradualPruneSparseExecLayers(t *testing.T) {
 // MaybePrune check allocates nothing — prune events pay their own cost,
 // the steps between them stay on the zero-alloc path.
 func TestGradualPruneZeroAllocBetweenEvents(t *testing.T) {
-	t.Setenv("SAMO_GEMM_TUNE", "off") // hermetic: see TestTrainStepZeroAlloc
 	_, ms, _ := buildTestSetup(SAMO, 0.5, 55)
 	sched := prune.Schedule{Initial: 0.5, Final: 0.8, BeginStep: 1, EndStep: 3, Frequency: 1}
 	gp, err := NewGradualPruner(ms, sched)

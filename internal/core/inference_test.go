@@ -197,7 +197,6 @@ func TestInferenceCkptManagerHandoff(t *testing.T) {
 // and performs zero heap allocations in steady state — with no Grad or
 // optimizer tensors resident (the state's ledger is θ16-only).
 func TestInferencerZeroAllocAndEquivalence(t *testing.T) {
-	t.Setenv("SAMO_GEMM_TUNE", "off") // hermetic: see TestTrainStepZeroAlloc
 	t.Setenv("SAMO_SPARSE_XOVER_TABLE", "off")
 	m, is := buildInferSetup(Dense, 0, 13)
 	inf := NewInferencer(is)

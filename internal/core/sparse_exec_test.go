@@ -38,7 +38,6 @@ func buildSparseExecSetup(exec nn.ExecMode, sparsity float64, seed uint64) (*nn.
 // allocations, on both execution paths (the dense fallback materializes its
 // masked-dense scratch once, then stays allocation-free).
 func TestSparseExecTrainStepZeroAlloc(t *testing.T) {
-	t.Setenv("SAMO_GEMM_TUNE", "off") // hermetic: see TestTrainStepZeroAlloc
 	for _, exec := range []nn.ExecMode{nn.ExecSparse, nn.ExecDense} {
 		_, ms := buildSparseExecSetup(exec, 0.9, 17)
 		tr := NewTrainer(ms)
@@ -58,7 +57,6 @@ func TestSparseExecTrainStepZeroAlloc(t *testing.T) {
 // re-materialization — allocates nothing. Workers are pinned above one so
 // the pooled parallel dispatch (not the inline fallback) is what is pinned.
 func TestSparseLinearForwardBackwardZeroAlloc(t *testing.T) {
-	t.Setenv("SAMO_GEMM_TUNE", "off")
 	defer tensor.SetWorkers(tensor.SetWorkers(4))
 	for _, exec := range []nn.ExecMode{nn.ExecSparse, nn.ExecDense} {
 		rng := tensor.NewRNG(19)

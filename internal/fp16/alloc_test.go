@@ -6,13 +6,6 @@ import "testing"
 // parallel slice converters (they back Half storage on the mixed-precision
 // paths).
 func TestSliceConvertersZeroAlloc(t *testing.T) {
-	// Hermetic allocation counting: AllocsPerRun tallies process-wide
-	// mallocs, so a background tune-table save (triggered whenever a GEMM
-	// bucket happens to freeze nearby) would show up as phantom allocs.
-	// "off" makes the freeze path inert; persistence itself is pinned by
-	// TestTunePersistenceRoundTripAllocFree.
-	t.Setenv("SAMO_GEMM_TUNE", "off")
-
 	src := make([]float32, 1<<16)
 	dst := make([]Bits, len(src))
 	back := make([]float32, len(src))

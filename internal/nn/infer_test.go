@@ -186,15 +186,13 @@ func TestInferNoAliasing(t *testing.T) {
 // allocations on every model family — activations ping-pong between two
 // arenas sized to the forward working set, and no cache pools are touched.
 func TestInferWindowedZeroAlloc(t *testing.T) {
-	// Hermetic allocation counting: a background tune-table save would
-	// show up as phantom allocs (see TestCompressExpandZeroAlloc in
-	// internal/sparse).
-	t.Setenv("SAMO_GEMM_TUNE", "off")
+	// Hermetic allocation counting: a background crossover-table save
+	// would show up as phantom allocs.
 	t.Setenv("SAMO_SPARSE_XOVER_TABLE", "off")
 	for _, tc := range inferTestModels() {
 		t.Run(tc.name, func(t *testing.T) {
 			a, b := tensor.NewArena(), tensor.NewArena()
-			for i := 0; i < 3; i++ { // warm arenas, autotuner, job pools
+			for i := 0; i < 3; i++ { // warm arenas, job pools
 				tc.model.InferWindowed(a, b, tc.x)
 			}
 			if n := testing.AllocsPerRun(20, func() {

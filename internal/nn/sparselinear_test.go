@@ -115,6 +115,62 @@ func TestSparseLinearOptimizerAliasing(t *testing.T) {
 	}
 }
 
+// TestSparseLinearSGDTracksMaskedDense trains the sparse layer and its
+// masked-dense twin side by side with plain SGD (pruned dense gradients
+// masked to zero): after several steps the sparse weights must still equal
+// the masked-dense ones. The layer's parameters must be exactly the
+// NNZ-long weight vector and the bias, and at 90% sparsity they must take
+// fewer bytes than the dense weight.
+func TestSparseLinearSGDTracksMaskedDense(t *testing.T) {
+	_, big, bix := sparsePair(64, 64, 0.9, 9)
+	if big.NNZ() != bix.NNZ() {
+		t.Fatalf("NNZ %d, pruning index has %d", big.NNZ(), bix.NNZ())
+	}
+	if got, denseBytes := big.WeightBytes(), int64(64*64*4); got >= denseBytes {
+		t.Fatalf("sparse storage %d bytes not below dense %d", got, denseBytes)
+	}
+
+	dense, sl, ix := sparsePair(8, 6, 0.6, 7)
+	sl.Exec = ExecSparse
+	ps := sl.Params()
+	if len(ps) != 2 || ps[0] != sl.Wv || ps[0].Value.Len() != ix.NNZ() || ps[1].Value.Len() != 6 {
+		t.Fatalf("Params = %v, want the %d-long weight vector and the 6-long bias", ps, ix.NNZ())
+	}
+	x := tensor.New(4, 8)
+	tensor.FillNormal(x, 1, tensor.NewRNG(8))
+	targets := []int{0, 3, 1, 5}
+	const lr = 0.05
+	sgd := func(ps []*Param) {
+		for _, p := range ps {
+			w, g := p.Value.Data(), p.Grad.Data()
+			for i := range w {
+				w[i] -= lr * g[i]
+				g[i] = 0
+			}
+		}
+	}
+	for step := 0; step < 5; step++ {
+		yd, cd := dense.Forward(nil, x, true)
+		_, gd := CrossEntropy(yd, targets)
+		dense.W.ZeroGrad()
+		dense.B.ZeroGrad()
+		dense.Backward(nil, cd, gd)
+		ix.Mask().Apply(dense.W.Grad.Data())
+		sgd(dense.Params())
+
+		ys, cs := sl.Forward(nil, x, true)
+		_, gs := CrossEntropy(ys, targets)
+		sl.Backward(nil, cs, gs)
+		sgd(sl.Params())
+	}
+	if d := tensor.MaxAbsDiff(dense.W.Value, sl.DenseEquivalent()); d > 1e-3 {
+		t.Errorf("weights diverged after sparse training: %g", d)
+	}
+	if d := tensor.MaxAbsDiff(dense.B.Value, sl.B.Value); d > 1e-3 {
+		t.Errorf("biases diverged after sparse training: %g", d)
+	}
+}
+
 // TestSparseLinearDenseCopyNeverStale pins the denseFresh protocol against
 // path flips: a fresh flag set by one microbatch's dense forward must not
 // let a LATER microbatch's dense backward skip re-materialization after the

@@ -179,7 +179,7 @@ func forCtx(ctx any, lo, hi int) { (*(ctx.(*func(lo, hi int))))(lo, hi) }
 // allocates per call — it is the prototyping form. Run IS the
 // context-carrying variant: kernels with zero-allocation contracts define
 // a job struct recycled through a Pool, pass it as ctx with a top-level
-// fn, and allocate nothing (see gemmV2Job, ixJob, attnJob, im2colJob for
+// fn, and allocate nothing (see panelJob, ixJob, attnJob, im2colJob for
 // the pattern). As of PR 2 every hot-path kernel in the repository uses
 // Run; For remains for tests and one-off tools.
 func For(n, grain int, fn func(lo, hi int)) {

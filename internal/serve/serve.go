@@ -1,19 +1,19 @@
 // Package serve runs forward-only models behind a dynamic micro-batching
 // engine: concurrent callers submit single samples, a batching loop gathers
-// them into padded power-of-two batches (the same ceil-log2 bucketing the
-// GEMM autotuner keys on, so serving traffic hits a handful of frozen
-// blocking decisions instead of probing one bucket per distinct batch
-// size), and a bounded admission queue turns overload into immediate
-// backpressure instead of unbounded latency.
+// them into padded power-of-two batches (so serving traffic issues a
+// handful of GEMM shapes instead of one per distinct batch size), and a
+// bounded admission queue turns overload into immediate backpressure
+// instead of unbounded latency.
 //
 // The engine's determinism contract is batch-composition independence: a
 // sample's output bits depend only on the sample, never on what else
 // shared its batch or on the traffic level. Every dense kernel computes
 // each output row from that row's inputs alone, bitwise-identically at
 // every worker count — but NOT identically across different batch heights:
-// the GEMM autotuner freezes a blocking per ceil-log2(m) bucket, and
-// different blockings accumulate k in different orders, so the same row
-// through m=1 and m=8 products can differ in final bits. The default
+// the GEMM dispatch picks its kernel by shape (the saxpy kernel below
+// m=4, the blocked micro-kernel above), and the two accumulate k in
+// different orders, so the same row through m=1 and m=8 products can
+// differ in final bits. The default
 // PadFixed policy therefore pads every batch to one fixed height
 // (ceilPow2(MaxBatch)): with the geometry constant, row-value independence
 // is all that is needed, and a sample served among strangers matches the
@@ -210,10 +210,9 @@ func (e *Engine) checkShape(x *tensor.Tensor) error {
 }
 
 // Close drains gracefully: admission stops (ErrClosed), every already-
-// queued request is served, the batching loop exits, and both autotuner
-// tables — GEMM blockings and sparse/dense crossover decisions — flush to
-// their persisted files so the next process starts warm. Safe to call more
-// than once.
+// queued request is served, the batching loop exits, and the sparse/dense
+// crossover decisions flush to their persisted file so the next process
+// starts warm. Safe to call more than once.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -225,11 +224,7 @@ func (e *Engine) Close() error {
 	close(e.queue)
 	e.mu.Unlock()
 	<-e.done
-	err := tensor.FlushTuneTable()
-	if xerr := sparse.FlushXoverTable(); err == nil {
-		err = xerr
-	}
-	return err
+	return sparse.FlushXoverTable()
 }
 
 // Stats returns a snapshot of the engine counters.

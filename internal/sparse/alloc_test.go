@@ -11,13 +11,6 @@ import (
 // primitives: they run on every layer's gradient every microbatch, so they
 // must not allocate in steady state (pooled parallel dispatch only).
 func TestCompressExpandZeroAlloc(t *testing.T) {
-	// Hermetic allocation counting: AllocsPerRun tallies process-wide
-	// mallocs, so a background tune-table save (triggered whenever a GEMM
-	// bucket happens to freeze nearby) would show up as phantom allocs.
-	// "off" makes the freeze path inert; persistence itself is pinned by
-	// TestTunePersistenceRoundTripAllocFree.
-	t.Setenv("SAMO_GEMM_TUNE", "off")
-
 	const n = 1 << 18
 	mask := NewMask(n)
 	rng := tensor.NewRNG(11)
@@ -60,7 +53,6 @@ func TestCompressExpandZeroAlloc(t *testing.T) {
 // pruned FC layers' per-microbatch hot path, under the same contract as the
 // dense GEMM family (pooled jobs, caller buffers).
 func TestSparseKernelsZeroAlloc(t *testing.T) {
-	t.Setenv("SAMO_GEMM_TUNE", "off") // hermetic: see TestCompressExpandZeroAlloc
 
 	w, _ := randMaskedCSR(128, 96, 0.1, 5)
 	wt, perm := w.TransposePerm()

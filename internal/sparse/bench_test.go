@@ -9,7 +9,7 @@ import (
 
 // BenchmarkSpMM is the sparse-vs-dense kernel matrix behind the
 // density-aware crossover: the FC forward product y = x·Wᵀ at the paper's
-// batch (576) computed by the autotuned dense GEMM over the masked-dense
+// batch (576) computed by the dense GEMM over the masked-dense
 // weight versus the transposed-CSR SpMM, across the evaluation's sparsity
 // range. scripts/bench.sh gates the high-sparsity points (≥90%) at
 // MIN_SPMM_SPEEDUP — the whole premise of first-class sparse execution is

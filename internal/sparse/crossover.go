@@ -14,12 +14,10 @@ import (
 // beat dense ones only above a density-dependent threshold: below it, the
 // dense kernel's register blocking and contiguous streaming outweigh the
 // flop savings. Which side of the threshold a layer sits on depends on the
-// machine, the product shape AND the pattern density, so — following the
-// GEMM autotuner in internal/tensor/autotune.go — the decision is probed at
-// runtime per (shape bucket, density band) and frozen.
+// machine, the product shape AND the pattern density, so the decision is
+// probed at runtime per (shape bucket, density band) and frozen.
 //
-// Unlike the GEMM candidates, the two execution paths are NOT bitwise
-// identical (they sum different terms in different orders), so a frozen
+// The two execution paths are NOT bitwise identical (they sum different terms in different orders), so a frozen
 // bucket never re-probes: flipping the winner mid-training would perturb
 // results. The probe phase itself is a deterministic alternation (choice by
 // call count, not timing), so two runs diverge only after their freezes —
@@ -45,13 +43,12 @@ func (c XoverChoice) String() string {
 }
 
 // xoverProbeRuns is how many timed samples each path gets before a bucket
-// freezes; minima are compared, as in the GEMM tuner (noise only adds).
+// freezes; minima are compared (noise only adds).
 const xoverProbeRuns = 3
 
 // XoverOp identifies which product of a sparse layer a decision is for.
 // Forward and input-gradient products tune in separate buckets even at
-// identical shapes — the same reasoning as the GEMM tuner's variant key:
-// their dense fallbacks are different kernels (A·Bᵀ vs A·B) with different
+// identical shapes: their dense fallbacks are different kernels (A·Bᵀ vs A·B) with different
 // packing costs, and a square layer would otherwise pool their timings
 // into one bucket and freeze a winner that is wrong for one of them.
 type XoverOp uint8

@@ -12,16 +12,14 @@ import (
 )
 
 // Crossover persistence. Frozen sparse/dense decisions are machine
-// properties exactly like the GEMM tuner's blockings, and a serving process
-// is the worst-hit consumer of a cold table: every probe run on the losing
-// path is a full-latency request. So decided buckets persist to
-// XoverPath() with the same discipline as gemm_tune.json — debounced
-// background save on freeze, synchronous FlushXoverTable from the cmds'
-// exits, atomic temp-file + rename writes, and a corrupt table quarantined
-// to <path>.corrupt at startup.
+// properties, and a serving process is the worst-hit consumer of a cold
+// table: every probe run on the losing path is a full-latency request. So
+// decided buckets persist to XoverPath() — debounced background save on
+// freeze, synchronous FlushXoverTable from the cmds' exits, atomic
+// temp-file + rename writes, and a corrupt table quarantined to
+// <path>.corrupt at startup.
 //
-// One consequence the GEMM table does not have: the two crossover paths are
-// NOT bitwise-identical, so pre-seeding decisions changes numerics relative
+// The two crossover paths are NOT bitwise-identical, so pre-seeding decisions changes numerics relative
 // to a cold run that would have frozen differently. That is the point —
 // frozen buckets never re-probe for exactly this reason, and persistence
 // extends the same stability across processes: a trained-then-served model
@@ -53,8 +51,7 @@ type xoverFile struct {
 // XoverPath resolves where crossover decisions persist: the file named by
 // SAMO_SPARSE_XOVER_TABLE if set ("off" disables persistence and returns
 // ""), else sparse_xover.json under the samo directory in the user cache
-// dir — next to gemm_tune.json. Resolved per call so tests can redirect it
-// with a scoped setenv.
+// dir. Resolved per call so tests can redirect it with a scoped setenv.
 func XoverPath() string {
 	switch p := os.Getenv("SAMO_SPARSE_XOVER_TABLE"); p {
 	case "off":
@@ -197,8 +194,8 @@ func xoverSaverLoop() {
 }
 
 // FlushXoverTable synchronously persists the current crossover decisions to
-// XoverPath(), creating the directory as needed — the cmds' exit-path
-// companion to tensor.FlushTuneTable. It is a no-op (nil) when persistence
+// XoverPath(), creating the directory as needed; the cmds call it on every
+// exit path. It is a no-op (nil) when persistence
 // is disabled or when this process froze nothing new (xoverDirty): a table
 // holding only disk-loaded decisions must not be renamed over a file a
 // concurrent process may have extended.

@@ -111,7 +111,7 @@ func TestXoverFlushDirtyDiscipline(t *testing.T) {
 	}
 }
 
-// TestCorruptXoverTableQuarantined mirrors the GEMM tuner's contract: a
+// TestCorruptXoverTableQuarantined pins the graceful-degradation contract: a
 // damaged persisted table is renamed to .corrupt, reported once, and the
 // process continues with an empty (re-probing) table.
 func TestCorruptXoverTableQuarantined(t *testing.T) {

@@ -42,8 +42,8 @@ func bitwiseEqual(a, b *Tensor) (int, bool) {
 
 // TestCol2ImParallelBitwiseDeterminism pins the parallel gather kernel to
 // the serial scatter reference BITWISE at every worker count the training
-// stack uses — the same contract the GEMM autotuner candidates carry: the
-// conv backward must not change results when the pool is resized.
+// stack uses — the same contract the GEMM family carries: the conv
+// backward must not change results when the pool is resized.
 func TestCol2ImParallelBitwiseDeterminism(t *testing.T) {
 	defer SetWorkers(SetWorkers(0))
 	for _, tc := range col2imShapes {
@@ -126,13 +126,6 @@ func TestCol2ImShapeValidation(t *testing.T) {
 // TestCol2ImIntoZeroAlloc pins the pooled-job dispatch: the conv backward
 // calls this once per layer per microbatch and must not allocate.
 func TestCol2ImIntoZeroAlloc(t *testing.T) {
-	// Hermetic allocation counting: AllocsPerRun tallies process-wide
-	// mallocs, so a background tune-table save (triggered whenever a GEMM
-	// bucket happens to freeze nearby) would show up as phantom allocs.
-	// "off" makes the freeze path inert; persistence itself is pinned by
-	// TestTunePersistenceRoundTripAllocFree.
-	t.Setenv("SAMO_GEMM_TUNE", "off")
-
 	s := ConvSpec{InC: 8, OutC: 8, Kernel: 3, Stride: 1, Pad: 1, InH: 12, InW: 12}
 	cols := col2imCols(s, 2, 88)
 	out := New(2, s.InC, s.InH, s.InW)

@@ -7,22 +7,11 @@ import (
 	"github.com/sparse-dl/samo/internal/parallel"
 )
 
-// warmAutotune drives a dispatcher until the autotuner has frozen a
-// blocking for the (variant, shape) bucket, so the timed loop measures the
-// steady-state kernel rather than the probe phase.
-func warmAutotune(v gemmVariant, m, k, n int, call func()) {
-	e := tuneFor(v, m, k, n)
-	for i := 0; i < 4*len(e.cands)*tuneProbeRuns && e.chosen.Load() < 0; i++ {
-		call()
-	}
-}
-
 // BenchmarkGEMM times the dense kernel at the paper's Figure 1 FC shapes
 // (batch 576, square weights): "seed" is the saxpy kernel the repository
-// started with, "packed" the per-worker-packing v1 micro-kernel, and
-// "shared" the autotuned shared-pack v2 pipeline that dispatch now uses.
-// The seed/packed and seed/shared ratios are the kernel-path speedups
-// recorded in BENCH_kernels.json (scripts/bench.sh gates on them).
+// started with and "shared" the dispatcher (the direct-B micro-kernel).
+// The seed/shared ratio is the kernel-path speedup recorded in
+// BENCH_kernels.json (scripts/bench.sh gates on it).
 func BenchmarkGEMM(b *testing.B) {
 	const batch = 576
 	for _, dim := range []int{128, 256, 512, 1024} {
@@ -46,13 +35,8 @@ func BenchmarkGEMM(b *testing.B) {
 			}
 		}
 		b.Run(fmt.Sprintf("seed/%d", dim), run(gemmSaxpyChunk))
-		b.Run(fmt.Sprintf("packed/%d", dim), run(gemmPackedChunk))
 		b.Run(fmt.Sprintf("shared/%d", dim), func(b *testing.B) {
-			warmAutotune(gemmNN, batch, dim, dim, func() {
-				gemm(c.data, a.data, w.data, batch, dim, dim, false)
-			})
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				gemm(c.data, a.data, w.data, batch, dim, dim, false)
 			}
@@ -62,11 +46,9 @@ func BenchmarkGEMM(b *testing.B) {
 }
 
 // BenchmarkGEMMSmallM times the small-m regime — the Figure-1 FC backward
-// shapes where each worker owns only a few C rows, so v1's per-worker
-// panel packing is almost pure overhead: the panel is swept too few times
-// to amortize the pack traffic. The shared-pack dispatcher autotunes these
-// buckets to the direct-B (pack-free) or shared-pack kernel, which is
-// where the >1.1x win over packed v1 comes from.
+// shapes where each worker owns only a few C rows, so a packed panel would
+// be swept too few times to amortize the pack traffic; the dispatcher's
+// direct-B kernel reads B in place.
 func BenchmarkGEMMSmallM(b *testing.B) {
 	for _, m := range []int{4, 8, 16} {
 		for _, dim := range []int{512, 1024} {
@@ -90,13 +72,8 @@ func BenchmarkGEMMSmallM(b *testing.B) {
 				}
 			}
 			b.Run(fmt.Sprintf("seed/%dx%d", m, dim), run(gemmSaxpyChunk))
-			b.Run(fmt.Sprintf("packed/%dx%d", m, dim), run(gemmPackedChunk))
 			b.Run(fmt.Sprintf("shared/%dx%d", m, dim), func(b *testing.B) {
-				warmAutotune(gemmNN, m, dim, dim, func() {
-					gemm(c.data, a.data, w.data, m, dim, dim, false)
-				})
 				b.ReportAllocs()
-				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					gemm(c.data, a.data, w.data, m, dim, dim, false)
 				}
@@ -108,8 +85,8 @@ func BenchmarkGEMMSmallM(b *testing.B) {
 
 // BenchmarkMatMulT times the input-gradient product dX = G·Wᵀ at the
 // Figure-1 FC backward shapes (batch 576, square weights): "tiled" is the
-// PR-1 4×4 register-tile kernel the dispatcher used before the shared-pack
-// port, "shared" the autotuned v2/v3 pipeline it uses now. The
+// 4×4 register-tile kernel the dispatcher keeps for small shapes, "shared"
+// the shared-pack strip pipeline it runs at these shapes. The
 // tiled/shared ratio is the MatMulT speedup matrix in BENCH_kernels.json,
 // gated by MIN_GEMM_SPEEDUP in scripts/bench.sh.
 func BenchmarkMatMulT(b *testing.B) {
@@ -133,11 +110,7 @@ func BenchmarkMatMulT(b *testing.B) {
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 		})
 		b.Run(fmt.Sprintf("shared/%d", dim), func(b *testing.B) {
-			warmAutotune(gemmNT, batch, dim, dim, func() {
-				MatMulTInto(c, g, w, false)
-			})
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				MatMulTInto(c, g, w, false)
 			}
@@ -169,11 +142,7 @@ func BenchmarkTMatMul(b *testing.B) {
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 		})
 		b.Run(fmt.Sprintf("shared/%d", dim), func(b *testing.B) {
-			warmAutotune(gemmTN, dim, batch, dim, func() {
-				TMatMulInto(c, x, g, false)
-			})
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				TMatMulInto(c, x, g, false)
 			}

@@ -3,35 +3,42 @@ package tensor
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"github.com/sparse-dl/samo/internal/parallel"
 )
 
-// GEMM blocking parameters. The default v1 blocking packs a kc×nc panel of
-// B contiguously (kc·nc·4 = 128 KiB, L2-resident) and sweeps it with a
-// 4-row, 2-k-unrolled register micro-kernel; the v2 shared-pack pipeline
-// autotunes (kc, nc) per shape bucket (see autotune.go) with these values
-// as the first candidate.
+// GEMM blocking parameters. Each product runs one fixed blocking, chosen by
+// an interleaved timing sweep of candidate blockings over the shapes the
+// training and serving workloads issue, the Figure-1 FC shapes and
+// conv-like shapes: each is fastest or within timing noise nearly
+// everywhere (the MatMulT strip layout gives up to ~12% at tall m for its
+// 1.2-1.7x lead at small m). Every blocking accumulates each C element in
+// the same pairwise k order (every kc is even), so none changes a result.
 const (
-	gemmKC = 256 // k-dimension block (panel height), v1 default
-	gemmNC = 128 // n-dimension block (panel width), v1 default
-	gemmMR = 4   // micro-kernel rows (A rows per strip)
-	// gemmGrain is the minimum C rows per parallel chunk for the v1 and
-	// saxpy kernels (each chunk re-packs panels, so chunks must be big).
+	gemmMR = 4 // micro-kernel rows (A rows per strip)
+	// gemmGrain is the minimum C rows per parallel chunk for the saxpy and
+	// tiled small-shape kernels.
 	gemmGrain = 8
-	// gemmPackGrain is the minimum panel rows per worker in the v2
-	// cooperative pack: a row copy is ~nc·4 bytes of pure memcpy, so
-	// fine-grained fan-out is all dispatch overhead.
+	// gemmPackGrain is the minimum panel rows per worker in the cooperative
+	// pack: a row copy is ~nc·4 bytes of pure memcpy, so fine-grained
+	// fan-out is all dispatch overhead.
 	gemmPackGrain = 32
 	// tiledKC blocks the k dimension of the transposed products so a 4-row
 	// A strip and 4-row B strip stay L1-resident.
 	tiledKC = 512
-	// packBufCap sizes pooled panel buffers to the largest packing
-	// candidate (512·256 floats = 512 KiB) so one free list serves every
-	// autotuned blocking without reallocation.
-	packBufCap = 512 * 256
+	// MatMul reads B in place (no packing) in directKC×directNC blocks.
+	directKC = 256
+	directNC = 512
+	// MatMulT and TMatMul pack panelKC×panelNC panels of their effective B.
+	panelKC = 512
+	panelNC = 256
+	// packBufCap sizes pooled panel buffers to one packed panel.
+	packBufCap = panelKC * panelNC
 )
+
+// ResetTuneTable does nothing: GEMM blocking is fixed per product, so there
+// is no tuning state to clear. Only the frozen benchmark still calls it.
+func ResetTuneTable() {}
 
 // MatMul computes C = A·B for A of shape (m,k) and B of shape (k,n),
 // returning a new (m,n) tensor. This is the dense kernel standing in for
@@ -110,23 +117,9 @@ func putPackBuf(b []float32) {
 	packFree.mu.Unlock()
 }
 
-// gemmVariant identifies which member of the GEMM family a dispatch (and
-// its autotune bucket) belongs to. All three run the same shared-pack
-// sweep kernels; they differ only in how the operands are packed into the
-// canonical panel layouts.
-type gemmVariant uint8
-
-const (
-	gemmNN gemmVariant = iota // C = A·B        (forward)
-	gemmNT                    // C = A·Bᵀ       (MatMulT, input gradient)
-	gemmTN                    // C = Aᵀ·B       (TMatMul, weight gradient)
-	gemmVariants
-)
-
-// gemm dispatches C (+)= A·B over the worker pool. Large shapes take the
-// shared-pack v2 pipeline with autotuned blocking; small or skinny shapes
-// fall back to the row-saxpy kernel, whose per-row cost model fits them
-// better.
+// gemm dispatches C (+)= A·B over the worker pool. Large shapes run the
+// direct-B micro-kernel; small or skinny shapes fall back to the row-saxpy
+// kernel, whose per-row cost model fits them better.
 func gemm(c, a, b []float32, m, k, n int, accumulate bool) {
 	if m == 0 || n == 0 {
 		return
@@ -137,182 +130,104 @@ func gemm(c, a, b []float32, m, k, n int, accumulate bool) {
 		}
 		return
 	}
-	if m >= gemmMR && n >= 16 && k >= 16 {
-		gemmTuned(gemmNN, c, a, b, m, k, n, accumulate)
-		return
-	}
 	j := getGemmJob()
 	j.c, j.a, j.b = c, a, b
 	j.m, j.k, j.n = m, k, n
 	j.accumulate = accumulate
-	parallel.Run(m, gemmGrain, j, gemmSaxpyChunk)
+	if m >= gemmMR && n >= 16 && k >= 16 {
+		parallel.Run(m, gemmMR, j, gemmDirectChunk)
+	} else {
+		parallel.Run(m, gemmGrain, j, gemmSaxpyChunk)
+	}
 	putGemmJob(j)
 }
 
-// gemmTuned runs one GEMM-family product through the per-(variant, shape)
-// autotuner: frozen buckets take the winning candidate a single atomic
-// load away; while a bucket is still probing, each call times one
-// candidate blocking (the probe performs the real product, so no work is
-// thrown away). Every tuneReprobeEvery-th call on a frozen bucket re-times
-// one candidate round-robin, so contaminated startup probes self-correct
-// (see tuneEntry).
-func gemmTuned(v gemmVariant, c, a, b []float32, m, k, n int, accumulate bool) {
-	e := tuneFor(v, m, k, n)
-	if idx := int(e.chosen.Load()); idx >= 0 {
-		if e.calls.Add(1)%tuneReprobeEvery != 0 {
-			gemmV2(v, c, a, b, m, k, n, accumulate, e.cands[idx])
-			return
-		}
-	}
-	probe := e.nextProbe()
-	t0 := time.Now()
-	gemmV2(v, c, a, b, m, k, n, accumulate, e.cands[probe])
-	e.record(probe, time.Since(t0), m*k*n)
-}
-
-// gemmV2Job carries the shared-pack pipeline's per-panel state to the pool
-// workers. One job serves a whole gemmV2 call: the caller mutates the panel
+// panelJob carries the shared-pack pipeline's per-panel state to the pool
+// workers. One job serves a whole product: the caller mutates the panel
 // fields between parallel.Run barriers (Run returns only after every chunk
 // finished, so workers never observe a mutation mid-panel).
-type gemmV2Job struct {
+type panelJob struct {
 	c, a, b    []float32
 	m, k, n    int
 	accumulate bool
-	pb         []float32 // the one shared packed B panel (nil on direct path)
-	pa         []float32 // packed Aᵀ block (gemmTN only; nil otherwise)
+	pb         []float32 // the one shared packed B panel
+	pa         []float32 // packed Aᵀ block (TMatMul only; nil otherwise)
 	k0, kcur   int       // current panel's k range
 	j0, ncur   int       // current panel's n range
-	i0, mcur   int       // current mc block's row range (sweep chunks offset by i0)
-	kc, nc     int       // blocking (direct path iterates panels itself)
-	// A addressing for the sweeps: row i of the effective (m,k) A lives at
-	// as[(i-aBase)·aStride + aOff : +kcur]. For gemmNN/gemmNT this is A
-	// itself (as=a, aBase=0, aStride=k, aOff=k0); for gemmTN it is the
-	// transpose-packed block (as=pa, aBase=i0, aStride=kcur, aOff=0).
-	as                   []float32
-	aBase, aStride, aOff int
+	i0, mcur   int       // current Aᵀ block's row range (TMatMul only)
 }
 
-var gemmV2JobFree parallel.Pool[gemmV2Job]
+var panelJobFree parallel.Pool[panelJob]
 
-// gemmV2 computes C (+)= A·B with the BLIS-style shared-pack pipeline: for
-// each kc×nc panel of B the workers first pack it cooperatively — ONCE per
-// call, into one process-pooled buffer — then all sweep their disjoint C
-// row ranges over it. The v1 kernel packed every panel once per *worker*,
-// which is pure duplicated memory traffic as soon as a call fans out; the
-// shared pack removes it, which is exactly the win when rows-per-worker is
-// small (the Figure-1 FC backward shapes). Candidates with pack=false skip
-// packing entirely and read B in place — for very small m a panel is swept
-// too few times for the pack traffic to amortize at all.
-//
-// Two further candidate dimensions (autotuned, see autotune.go):
-//
-//   - strip: pack the panel in 8-wide column strips (each strip k-major and
-//     contiguous) and sweep it with the v3 strip kernel, whose inner loop
-//     keeps eight C accumulators in registers and streams B sequentially —
-//     C round-trips through memory once per panel instead of every other
-//     k step.
-//   - mc: block the C rows, re-running the whole panel loop per mc-row
-//     block. Packing repeats once per block (m/mc times the traffic), but
-//     the block's C rows and A slab stay cache-resident across the k sweep —
-//     the classic BLIS ic loop, worth probing only for tall m.
-//
-// Every variant accumulates each C element in the same pairwise k order, so
-// all candidates remain bitwise-identical (TestGEMMV2CandidatesGolden).
-//
-// The transposed family (v != gemmNN) runs the SAME panel loop and sweep
-// kernels; only the packing differs per operand orientation:
-//
-//   - gemmNT (C = A·Bᵀ): B is (n,k), so the effective Bᵀ panel is packed by
-//     reading B rows along their contiguous k extent and scattering each
-//     into one panel column — a near-copy per B row (gemmPackPanelNTChunk /
-//     gemmPackStripNTChunk). A is (m,k) row-major, exactly as in gemmNN.
-//   - gemmTN (C = Aᵀ·B): B is (k,n) row-major, exactly as in gemmNN, so the
-//     B pack routines are reused verbatim; A is (k,m) and is transpose-
-//     packed per (mc,kc) block into a second pooled buffer the sweeps then
-//     read as canonical row-major A (gemmPackATChunk). mc is bounded so the
-//     block always fits the pooled buffer.
-//
-// Because the sweeps are shared, the transposed variants inherit the
-// bitwise candidate-invariance contract for free: packing relocates
-// operand bytes, never reorders the per-element float operations.
-func gemmV2(v gemmVariant, c, a, b []float32, m, k, n int, accumulate bool, cand tuneCand) {
-	j := gemmV2JobFree.Get()
+func getPanelJob(c, a, b []float32, m, k, n int, accumulate bool) *panelJob {
+	j := panelJobFree.Get()
 	j.c, j.a, j.b = c, a, b
 	j.m, j.k, j.n = m, k, n
 	j.accumulate = accumulate
-	j.kc, j.nc = cand.kc, cand.nc
-	if !cand.pack {
-		// Direct-B path (gemmNN candidates only: the transposed variants'
-		// effective B is not materialized row-major, so their candidate
-		// sets are all-pack).
-		parallel.Run(m, gemmMR, j, gemmDirectChunk)
-		j.c, j.a, j.b = nil, nil, nil
-		gemmV2JobFree.Put(j)
-		return
+	j.pb = getPackBuf()
+	return j
+}
+
+func putPanelJob(j *panelJob) {
+	putPackBuf(j.pb)
+	if j.pa != nil {
+		putPackBuf(j.pa)
 	}
-	packB, sweep := gemmPackPanelChunk, gemmSweepChunk
-	if cand.strip {
-		packB, sweep = gemmPackStripChunk, gemmStripSweepChunk
-	}
-	if v == gemmNT {
-		packB = gemmPackPanelNTChunk
-		if cand.strip {
-			packB = gemmPackStripNTChunk
+	j.c, j.a, j.b, j.pb, j.pa = nil, nil, nil, nil, nil
+	panelJobFree.Put(j)
+}
+
+// gemmNTPacked computes C (+)= A·Bᵀ for B (n,k) with the BLIS-style shared
+// pack: each panelKC×panelNC panel of the effective Bᵀ is packed once per
+// call, cooperatively, into one pooled buffer in 8-wide k-major column
+// strips (the pack IS the transpose: each B row is read contiguously along
+// k), then all workers sweep their disjoint C row ranges over it with the
+// strip kernel, which keeps eight C accumulators in registers across the
+// panel's k extent. A is (m,k) row-major and is read in place.
+func gemmNTPacked(c, a, b []float32, m, k, n int, accumulate bool) {
+	j := getPanelJob(c, a, b, m, k, n, accumulate)
+	for k0 := 0; k0 < k; k0 += panelKC {
+		j.k0, j.kcur = k0, min(panelKC, k-k0)
+		for j0 := 0; j0 < n; j0 += panelNC {
+			j.j0, j.ncur = j0, min(panelNC, n-j0)
+			// The pack fans out over B rows (panel columns), not panel
+			// k-rows: that is the operand's contiguous axis.
+			parallel.Run(j.ncur, gemmPackGrain, j, gemmPackStripNTChunk)
+			parallel.Run(m, gemmMR, j, gemmStripSweepChunk)
 		}
 	}
-	mc := cand.mc
-	if mc <= 0 {
-		mc = m
-	}
-	var pa []float32
-	if v == gemmTN {
-		if maxMC := packBufCap / cand.kc; mc > maxMC {
-			mc = maxMC // keep the packed Aᵀ block inside one pooled buffer
-		}
-		pa = getPackBuf()
-		j.pa = pa
-	}
-	pb := getPackBuf()
-	j.pb = pb
+	putPanelJob(j)
+}
+
+// gemmTNPacked computes C (+)= Aᵀ·B for A (k,m) and B (k,n). A is
+// transpose-packed per (row block, k panel) into a second pooled buffer the
+// sweeps read as row-major A; B is row-major, so its panels are packed as
+// plain row copies. The row block is bounded so the packed Aᵀ block always
+// fits one pooled buffer; B panels are re-packed per row block.
+func gemmTNPacked(c, a, b []float32, m, k, n int, accumulate bool) {
+	const mc = packBufCap / panelKC
+	j := getPanelJob(c, a, b, m, k, n, accumulate)
+	j.pa = getPackBuf()
 	for i0 := 0; i0 < m; i0 += mc {
 		j.i0, j.mcur = i0, min(mc, m-i0)
-		for k0 := 0; k0 < k; k0 += cand.kc {
-			kcur := min(cand.kc, k-k0)
-			j.k0, j.kcur = k0, kcur
-			if v == gemmTN {
-				parallel.Run(j.mcur, gemmPackGrain, j, gemmPackATChunk)
-				j.as, j.aBase, j.aStride, j.aOff = pa, i0, kcur, 0
-			} else {
-				j.as, j.aBase, j.aStride, j.aOff = a, 0, k, k0
-			}
-			for j0 := 0; j0 < n; j0 += cand.nc {
-				j.j0, j.ncur = j0, min(cand.nc, n-j0)
-				if v == gemmNT {
-					// The NT pack fans out over B rows (panel columns), not
-					// panel k-rows: that is the operand's contiguous axis.
-					parallel.Run(j.ncur, gemmPackGrain, j, packB)
-				} else {
-					parallel.Run(kcur, gemmPackGrain, j, packB)
-				}
-				parallel.Run(j.mcur, gemmMR, j, sweep)
+		for k0 := 0; k0 < k; k0 += panelKC {
+			j.k0, j.kcur = k0, min(panelKC, k-k0)
+			parallel.Run(j.mcur, gemmPackGrain, j, gemmPackATChunk)
+			for j0 := 0; j0 < n; j0 += panelNC {
+				j.j0, j.ncur = j0, min(panelNC, n-j0)
+				parallel.Run(j.kcur, gemmPackGrain, j, gemmPackPanelChunk)
+				parallel.Run(j.mcur, gemmMR, j, gemmSweepChunk)
 			}
 		}
 	}
-	j.pb = nil
-	putPackBuf(pb)
-	if pa != nil {
-		j.pa = nil
-		putPackBuf(pa)
-	}
-	j.c, j.a, j.b, j.as = nil, nil, nil, nil
-	gemmV2JobFree.Put(j)
+	putPanelJob(j)
 }
 
 // gemmPackPanelChunk copies panel rows [lo,hi) (relative to k0) of the
 // current kc×nc panel of B into the shared buffer, making rows adjacent
 // (stride ncur instead of n). Chunks touch disjoint panel rows.
 func gemmPackPanelChunk(ctx any, lo, hi int) {
-	g := ctx.(*gemmV2Job)
+	g := ctx.(*panelJob)
 	b, pb := g.b, g.pb
 	n, k0, j0, ncur := g.n, g.k0, g.j0, g.ncur
 	for kk := lo; kk < hi; kk++ {
@@ -320,20 +235,17 @@ func gemmPackPanelChunk(ctx any, lo, hi int) {
 	}
 }
 
-// gemmSweepChunk updates C rows [lo,hi) of the current mc block (absolute
-// rows i0+lo..i0+hi), cols [j0,j0+ncur) from the shared packed panel with
-// the register micro-kernel. A rows come from the job's generalized A
-// addressing (A in place, or the packed Aᵀ block for gemmTN). On the first
-// k panel of a non-accumulating product it also zeroes its C band (each
-// band is touched by exactly one chunk per panel, so the zeroing races
-// with nothing).
+// gemmSweepChunk updates C rows i0+lo..i0+hi, cols [j0,j0+ncur) from the
+// shared packed panel with the register micro-kernel, reading A rows from
+// the packed Aᵀ block (row stride kcur). On the first k panel of a
+// non-accumulating product it also zeroes its C band (each band is touched
+// by exactly one chunk per panel, so the zeroing races with nothing).
 func gemmSweepChunk(ctx any, lo, hi int) {
-	g := ctx.(*gemmV2Job)
-	c, as, pb := g.c, g.as, g.pb
+	g := ctx.(*panelJob)
+	c, pa, pb := g.c, g.pa, g.pb
 	n := g.n
 	k0, kcur, j0, ncur := g.k0, g.kcur, g.j0, g.ncur
-	aStride := g.aStride
-	aOff := (lo+g.i0-g.aBase)*aStride + g.aOff
+	aOff := lo * kcur
 	lo, hi = lo+g.i0, hi+g.i0
 	if k0 == 0 && !g.accumulate {
 		for i := lo; i < hi; i++ {
@@ -342,58 +254,26 @@ func gemmSweepChunk(ctx any, lo, hi int) {
 	}
 	i := lo
 	for ; i+gemmMR <= hi; i += gemmMR {
-		gemmMicro4(c, as, pb, aOff, aStride, 0, ncur, i, n, kcur, j0, ncur)
-		aOff += gemmMR * aStride
+		gemmMicro4(c, pa, pb, aOff, kcur, 0, ncur, i, n, kcur, j0, ncur)
+		aOff += gemmMR * kcur
 	}
 	for ; i < hi; i++ {
-		gemmMicro1(c, as, pb, aOff, aStride, 0, ncur, i, n, kcur, j0, ncur)
-		aOff += aStride
+		gemmMicro1(c, pa, pb, aOff, kcur, 0, ncur, i, n, kcur, j0, ncur)
+		aOff += kcur
 	}
 }
 
-// gemmPackStripChunk packs panel k-rows [lo,hi) (relative to k0) in the v3
-// strip layout: the kc×nc panel is stored as a sequence of 8-wide column
-// strips, each strip k-major and contiguous — strip js/8 occupies
-// pb[js·kcur : js·kcur + kcur·8], element (kk, jj) at offset kk·8 + jj. The
-// strip sweep then streams B strictly sequentially. A ragged final strip
-// (ncur not a multiple of 8) keeps stride 8; its tail floats are left
-// unwritten and never read. Chunks touch disjoint panel rows.
-func gemmPackStripChunk(ctx any, lo, hi int) {
-	g := ctx.(*gemmV2Job)
-	b, pb := g.b, g.pb
-	n, k0, j0, ncur, kcur := g.n, g.k0, g.j0, g.ncur, g.kcur
-	for kk := lo; kk < hi; kk++ {
-		brow := b[(k0+kk)*n+j0 : (k0+kk)*n+j0+ncur]
-		for js := 0; js < ncur; js += 8 {
-			w := min(8, ncur-js)
-			copy(pb[js*kcur+kk*8:js*kcur+kk*8+w], brow[js:js+w])
-		}
-	}
-}
-
-// gemmPackPanelNTChunk packs panel columns [lo,hi) (relative to j0) of the
-// effective Bᵀ panel for gemmNT: element (kk, jj) of the panel is
-// B[(j0+jj)·k + k0+kk], so each B row is read contiguously along its k
-// extent — a near-copy — and scattered into one panel column with stride
-// ncur. Chunks touch disjoint panel columns.
-func gemmPackPanelNTChunk(ctx any, lo, hi int) {
-	g := ctx.(*gemmV2Job)
-	b, pb := g.b, g.pb
-	k, k0, j0, ncur, kcur := g.k, g.k0, g.j0, g.ncur, g.kcur
-	for jj := lo; jj < hi; jj++ {
-		brow := b[(j0+jj)*k+k0 : (j0+jj)*k+k0+kcur]
-		for kk, v := range brow {
-			pb[kk*ncur+jj] = v
-		}
-	}
-}
-
-// gemmPackStripNTChunk is gemmPackPanelNTChunk's strip-layout twin: panel
-// column jj lands in strip jj/8 at within-strip offset jj%8 (see
-// gemmPackStripChunk for the strip layout), so the contiguous B-row read
-// scatters with stride 8. Chunks touch disjoint panel columns.
+// gemmPackStripNTChunk packs panel columns [lo,hi) (relative to j0) of the
+// effective Bᵀ panel in the strip layout: the kc×nc panel is stored as a
+// sequence of 8-wide column strips, each strip k-major and contiguous —
+// strip js/8 occupies pb[js·kcur : js·kcur + kcur·8], element (kk, jj) at
+// offset kk·8 + jj%8 — so the strip sweep streams B strictly sequentially.
+// Element (kk, jj) of the panel is B[(j0+jj)·k + k0+kk]: each B row is read
+// contiguously along its k extent and scattered with stride 8. A ragged
+// final strip (ncur not a multiple of 8) keeps stride 8; its tail floats
+// are left unwritten and never read. Chunks touch disjoint panel columns.
 func gemmPackStripNTChunk(ctx any, lo, hi int) {
-	g := ctx.(*gemmV2Job)
+	g := ctx.(*panelJob)
 	b, pb := g.b, g.pb
 	k, k0, j0, kcur := g.k, g.k0, g.j0, g.kcur
 	for jj := lo; jj < hi; jj++ {
@@ -406,7 +286,7 @@ func gemmPackStripNTChunk(ctx any, lo, hi int) {
 }
 
 // gemmPackATChunk transpose-packs rows [lo,hi) (relative to i0) of the
-// current (mc,kc) block of the effective Aᵀ for gemmTN:
+// current (row block, k panel) block of the effective Aᵀ for TMatMul:
 // pa[i'·kcur + kk] = a[(k0+kk)·m + i0+i']. The pack walks 32×32 tiles
 // (like TransposeInto): within a tile the inner loop reads a source row of
 // A contiguously and the 32 destination rows it scatters into stay
@@ -417,7 +297,7 @@ func gemmPackStripNTChunk(ctx any, lo, hi int) {
 // the product, are bitwise-unchanged (pinned by TestGemmPackATTiledGolden).
 // Chunks write disjoint packed rows.
 func gemmPackATChunk(ctx any, lo, hi int) {
-	g := ctx.(*gemmV2Job)
+	g := ctx.(*panelJob)
 	a, pa := g.a, g.pa
 	m, k0, kcur, i0 := g.m, g.k0, g.kcur, g.i0
 	const tile = 32
@@ -436,12 +316,11 @@ func gemmPackATChunk(ctx any, lo, hi int) {
 	}
 }
 
-// gemmStripSweepChunk updates C rows [lo,hi) of the current mc block from a
-// strip-packed panel with the v3 strip kernel: per row and 8-wide column
-// strip, eight accumulators live in registers across the whole k sweep and
-// C round-trips through memory once per panel (the 4-row micro-kernel
-// reads and writes C every second k step). B streams sequentially from the
-// strip.
+// gemmStripSweepChunk updates C rows [lo,hi) from a strip-packed panel with
+// the strip kernel: per row and 8-wide column strip, eight accumulators
+// live in registers across the whole k sweep and C round-trips through
+// memory once per panel (the 4-row micro-kernel reads and writes C every
+// second k step). B streams sequentially from the strip; A is read in place.
 //
 // Bitwise contract: the accumulators are seeded from C (or zero on the
 // first panel of a non-accumulating product) and updated with the same
@@ -449,17 +328,15 @@ func gemmPackATChunk(ctx any, lo, hi int) {
 // sees the identical sequence of float32 operations — staging the partial
 // sum in a register instead of memory does not change its value.
 func gemmStripSweepChunk(ctx any, lo, hi int) {
-	g := ctx.(*gemmV2Job)
-	c, as, pb := g.c, g.as, g.pb
-	n := g.n
+	g := ctx.(*panelJob)
+	c, a, pb := g.c, g.a, g.pb
+	k, n := g.k, g.n
 	k0, kcur, j0, ncur := g.k0, g.kcur, g.j0, g.ncur
-	aStride := g.aStride
-	aOff := (lo+g.i0-g.aBase)*aStride + g.aOff
-	lo, hi = lo+g.i0, hi+g.i0
+	aOff := lo*k + k0
 	seed := g.accumulate || k0 > 0
 	for i := lo; i < hi; i++ {
-		ai := as[aOff : aOff+kcur]
-		aOff += aStride
+		ai := a[aOff : aOff+kcur]
+		aOff += k
 		ci := c[i*n+j0 : i*n+j0+ncur]
 		for js := 0; js < ncur; js += 8 {
 			bs := pb[js*kcur:]
@@ -543,16 +420,16 @@ func gemmStripTail(ci, ai []float32, bs []float32, kcur int, seed bool) {
 // blocked panel loop independently — there is no shared state, so the rows
 // fan out at micro-kernel granularity.
 func gemmDirectChunk(ctx any, lo, hi int) {
-	g := ctx.(*gemmV2Job)
+	g := ctx.(*gemmJob)
 	c, a, b := g.c, g.a, g.b
 	k, n := g.k, g.n
 	if !g.accumulate {
 		zeroSlice(c[lo*n : hi*n])
 	}
-	for k0 := 0; k0 < k; k0 += g.kc {
-		kcur := min(g.kc, k-k0)
-		for j0 := 0; j0 < n; j0 += g.nc {
-			ncur := min(g.nc, n-j0)
+	for k0 := 0; k0 < k; k0 += directKC {
+		kcur := min(directKC, k-k0)
+		for j0 := 0; j0 < n; j0 += directNC {
+			ncur := min(directNC, n-j0)
 			i := lo
 			for ; i+gemmMR <= hi; i += gemmMR {
 				gemmMicro4(c, a, b, i*k+k0, k, k0*n+j0, n, i, n, kcur, j0, ncur)
@@ -562,41 +439,6 @@ func gemmDirectChunk(ctx any, lo, hi int) {
 			}
 		}
 	}
-}
-
-// gemmPackedChunk computes C rows [lo,hi) with the packed micro-kernel:
-// for each kc×nc panel of B, pack it contiguously, then sweep 4-row strips
-// of A with a 2-k-unrolled fused-axpy kernel. B is loaded once per 4 C rows
-// (the seed's saxpy loaded it once per row) and the packed panel streams
-// from one contiguous block, which is where the speedup comes from.
-func gemmPackedChunk(ctx any, lo, hi int) {
-	g := ctx.(*gemmJob)
-	c, a, b := g.c, g.a, g.b
-	k, n := g.k, g.n
-	if !g.accumulate {
-		zeroSlice(c[lo*n : hi*n])
-	}
-	pb := getPackBuf()
-	for k0 := 0; k0 < k; k0 += gemmKC {
-		k1 := min(k0+gemmKC, k)
-		kcur := k1 - k0
-		for j0 := 0; j0 < n; j0 += gemmNC {
-			j1 := min(j0+gemmNC, n)
-			ncur := j1 - j0
-			// Pack the B panel: rows become adjacent (stride ncur, not n).
-			for kk := 0; kk < kcur; kk++ {
-				copy(pb[kk*ncur:kk*ncur+ncur], b[(k0+kk)*n+j0:(k0+kk)*n+j1])
-			}
-			i := lo
-			for ; i+gemmMR <= hi; i += gemmMR {
-				gemmMicro4(c, a, pb, i*k+k0, k, 0, ncur, i, n, kcur, j0, ncur)
-			}
-			for ; i < hi; i++ {
-				gemmMicro1(c, a, pb, i*k+k0, k, 0, ncur, i, n, kcur, j0, ncur)
-			}
-		}
-	}
-	putPackBuf(pb)
 }
 
 // gemmMicro4 updates C rows i..i+3, cols [j0,j0+ncur) from kcur rows of B
@@ -758,10 +600,9 @@ func gemmTDims(a, b *Tensor) (m, k, n int) {
 	return m, k, n
 }
 
-// gemmT dispatches C (+)= A·Bᵀ. Large shapes run the shared-pack v2/v3
-// pipeline with per-shape autotuned blocking (the gemmNT variant
-// transpose-packs B panels); small or skinny shapes keep the PR-1 4×4
-// register tiles, whose tile setup cost fits them better.
+// gemmT dispatches C (+)= A·Bᵀ. Large shapes run the shared-pack strip
+// pipeline (gemmNTPacked); small or skinny shapes keep the 4×4 register
+// tiles, whose tile setup cost fits them better.
 func gemmT(c, a, b []float32, m, k, n int, accumulate bool) {
 	if m == 0 || n == 0 {
 		return
@@ -773,7 +614,7 @@ func gemmT(c, a, b []float32, m, k, n int, accumulate bool) {
 		return
 	}
 	if m >= gemmMR && n >= 16 && k >= 16 {
-		gemmTuned(gemmNT, c, a, b, m, k, n, accumulate)
+		gemmNTPacked(c, a, b, m, k, n, accumulate)
 		return
 	}
 	j := getGemmJob()
@@ -788,7 +629,7 @@ func gemmT(c, a, b []float32, m, k, n int, accumulate bool) {
 // both operands are read along contiguous k-rows, 16 fused multiply-adds
 // per 8 loads (the seed's dot kernel did 1 per 2). k is blocked so the
 // four A rows and four B rows of a tile stay L1-resident. Kept as the
-// small-shape path and the benchmark baseline the autotuned pipeline is
+// small-shape path and the benchmark baseline the shared-pack pipeline is
 // gated against (BenchmarkMatMulT/tiled).
 func gemmTChunk(ctx any, lo, hi int) {
 	g := ctx.(*gemmJob)
@@ -908,10 +749,9 @@ func tGemmDims(a, b *Tensor) (k, m, n int) {
 	return k, m, n
 }
 
-// tGemm dispatches C (+)= Aᵀ·B. Large shapes run the shared-pack v2/v3
-// pipeline with per-shape autotuned blocking (the gemmTN variant
-// transpose-packs A blocks; B packs exactly as the forward product); small
-// or skinny shapes keep the PR-1 4×4 register tiles.
+// tGemm dispatches C (+)= Aᵀ·B. Large shapes run the shared-pack panel
+// pipeline (gemmTNPacked); small or skinny shapes keep the 4×4 register
+// tiles.
 func tGemm(c, a, b []float32, m, k, n int, accumulate bool) {
 	if m == 0 || n == 0 {
 		return
@@ -923,7 +763,7 @@ func tGemm(c, a, b []float32, m, k, n int, accumulate bool) {
 		return
 	}
 	if m >= gemmMR && n >= 16 && k >= 16 {
-		gemmTuned(gemmTN, c, a, b, m, k, n, accumulate)
+		gemmTNPacked(c, a, b, m, k, n, accumulate)
 		return
 	}
 	j := getGemmJob()
@@ -939,7 +779,7 @@ func tGemm(c, a, b []float32, m, k, n int, accumulate bool) {
 // values (both along the rows of the k-major operands) and performs 16
 // fused multiply-adds; k is blocked so a tile's A column slab stays cached
 // across the j sweep. Kept as the small-shape path and the benchmark
-// baseline the autotuned pipeline is gated against (BenchmarkTMatMul/tiled).
+// baseline the shared-pack pipeline is gated against (BenchmarkTMatMul/tiled).
 func tGemmChunk(ctx any, lo, hi int) {
 	g := ctx.(*gemmJob)
 	c, a, b := g.c, g.a, g.b

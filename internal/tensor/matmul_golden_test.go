@@ -175,32 +175,27 @@ func TestTransposeGolden(t *testing.T) {
 	}
 }
 
-// v2Shapes stresses the shared-pack pipeline's edges: m below the worker
-// count (shared pack is the point of that regime), k below every kc
-// candidate, n below every nc candidate, single-row and single-column
-// outputs, panel-boundary remainders, shapes spanning several panels, strip
-// tails of every width class, and m past the mc=128 row-blocking boundary.
+// v2Shapes stresses the large-shape kernels' edges: m below the worker
+// count, k below the panel height, n below the panel width, single-row and
+// single-column outputs, panel-boundary remainders, shapes spanning
+// several panels, strip tails of every width class, and m past 128 rows.
 var v2Shapes = [][3]int{
-	{1, 16, 16},   // m=1: micro1-only sweep
+	{1, 16, 16},   // m=1: below the dispatch gate
 	{4, 16, 1},    // n=1: one-column panels, 1-wide strip tail
-	{3, 300, 40},  // m below gemmMR after chunking, 8-aligned strips
+	{3, 300, 40},  // m below gemmMR, 8-aligned strips
 	{5, 700, 130}, // k spans panels with remainder, n just over one nc, 2-wide tail
-	{8, 64, 520},  // n spans nc candidates with remainder
+	{8, 64, 520},  // n spans the direct-B block with remainder
 	{6, 530, 9},   // k just past the 512 panel, one full strip + 1-wide tail
 	{31, 257, 129},
 	{64, 512, 256},  // exact panel multiples
 	{97, 1030, 70},  // 6-wide strip tail
-	{150, 300, 40},  // m crosses the mc=128 row-block boundary
-	{129, 256, 135}, // mc remainder of one row, 7-wide strip tail
+	{150, 300, 40},  // m crosses 128 rows
+	{129, 256, 135}, // 7-wide strip tail
 }
 
-// TestGEMMV2CandidatesGolden pins every autotune candidate — shared-pack,
-// direct-B, mc row-blocked and the v3 8-wide strip kernels — against the
-// naive reference at the degenerate shapes, under a worker count larger
-// than m for the small shapes (the regime the shared pack exists for). It
-// also asserts the candidates agree BITWISE: every kc candidate is even and
-// every kernel accumulates each C element with the same pairwise
-// k-association, so the autotuner's choice can never change results.
+// TestGEMMV2CandidatesGolden pins the forward dispatcher against the naive
+// reference at the degenerate shapes, plain and accumulating, under a
+// worker count larger than m for the small shapes.
 func TestGEMMV2CandidatesGolden(t *testing.T) {
 	old := SetWorkers(8)
 	defer SetWorkers(old)
@@ -212,36 +207,27 @@ func TestGEMMV2CandidatesGolden(t *testing.T) {
 			fillSeq(a, rng)
 			fillSeq(b, rng)
 			want := refMatMul(a, b)
-			var first *Tensor
-			for ci, cand := range tuneCands {
-				got := New(m, n)
-				gemmV2(gemmNN, got.data, a.data, b.data, m, k, n, false, cand)
-				if d := MaxAbsDiff(got, want); d > tol(k) {
-					t.Fatalf("candidate %d (%+v): differs from naive by %g", ci, cand, d)
-				}
-				if first == nil {
-					first = got
-				} else if d := MaxAbsDiff(got, first); d != 0 {
-					t.Fatalf("candidate %d (%+v): not bitwise-equal to candidate 0 (diff %g)", ci, cand, d)
-				}
-				// Accumulating form: C = seed + A·B.
-				acc := New(m, n)
-				fillSeq(acc, rng)
-				wantAcc := acc.Clone()
-				Add(wantAcc, want)
-				gemmV2(gemmNN, acc.data, a.data, b.data, m, k, n, true, cand)
-				if d := MaxAbsDiff(acc, wantAcc); d > tol(k) {
-					t.Fatalf("candidate %d (%+v) accumulate: differs by %g", ci, cand, d)
-				}
+			got := New(m, n)
+			MatMulInto(got, a, b, false)
+			if d := MaxAbsDiff(got, want); d > tol(k) {
+				t.Fatalf("differs from naive by %g", d)
+			}
+			// Accumulating form: C = seed + A·B.
+			acc := New(m, n)
+			fillSeq(acc, rng)
+			wantAcc := acc.Clone()
+			Add(wantAcc, want)
+			MatMulInto(acc, a, b, true)
+			if d := MaxAbsDiff(acc, wantAcc); d > tol(k) {
+				t.Fatalf("accumulate: differs by %g", d)
 			}
 		})
 	}
 }
 
 // TestMatMulSharedPanelRace hammers MatMulInto from many goroutines so
-// concurrent calls contend on the shared panel buffer pool, the autotune
-// table and the worker pool. Run under -race in CI; correctness of each
-// result is also checked.
+// concurrent calls contend on the job free list and the worker pool. Run
+// under -race in CI; correctness of each result is also checked.
 func TestMatMulSharedPanelRace(t *testing.T) {
 	old := SetWorkers(4)
 	defer SetWorkers(old)
@@ -282,46 +268,7 @@ func TestMatMulSharedPanelRace(t *testing.T) {
 	}
 }
 
-// TestTuneTablePersistence round-trips autotuner decisions through the
-// JSON table: a loaded table must skip probing and reproduce the same
-// blocking choice.
-func TestTuneTablePersistence(t *testing.T) {
-	ResetTuneTable()
-	defer ResetTuneTable()
-	a, b, c := New(24, 200), New(200, 48), New(24, 48)
-	rng := NewRNG(49)
-	fillSeq(a, rng)
-	fillSeq(b, rng)
-	e := tuneFor(gemmNN, 24, 200, 48)
-	for i := 0; i < 4*len(tuneCands)*tuneProbeRuns && e.chosen.Load() < 0; i++ {
-		gemm(c.data, a.data, b.data, 24, 200, 48, false)
-	}
-	if e.chosen.Load() < 0 {
-		t.Fatal("autotuner did not decide after probe budget")
-	}
-	chosen := e.chosen.Load()
-	path := t.TempDir() + "/tune.json"
-	if err := SaveTuneTable(path); err != nil {
-		t.Fatal(err)
-	}
-	ResetTuneTable()
-	if err := LoadTuneTable(path); err != nil {
-		t.Fatal(err)
-	}
-	e2 := tuneFor(gemmNN, 24, 200, 48)
-	if got := e2.chosen.Load(); got != chosen {
-		t.Fatalf("reloaded choice %d, want %d", got, chosen)
-	}
-}
-
 func TestMatMulIntoZeroAlloc(t *testing.T) {
-	// Hermetic allocation counting: AllocsPerRun tallies process-wide
-	// mallocs, so a background tune-table save (triggered whenever a GEMM
-	// bucket happens to freeze nearby) would show up as phantom allocs.
-	// "off" makes the freeze path inert; persistence itself is pinned by
-	// TestTunePersistenceRoundTripAllocFree.
-	t.Setenv("SAMO_GEMM_TUNE", "off")
-
 	a, b, c := New(64, 96), New(96, 80), New(64, 80)
 	rng := NewRNG(46)
 	fillSeq(a, rng)

@@ -2,27 +2,20 @@ package tensor
 
 import (
 	"fmt"
-	"os"
 	"testing"
-	"time"
 )
 
-// TestGEMMTransposedCandidatesGolden pins every transposed-variant autotune
-// candidate — shared-pack, mc row-blocked and the v3 8-wide strip kernels,
-// with B transpose-packed for C = A·Bᵀ and A transpose-packed for
-// C = Aᵀ·B — against the naive references at the same degenerate shapes the
-// forward pipeline is pinned on, under a worker count larger than m for
-// the small shapes. As for the forward product, the candidates must agree
-// BITWISE: they share the sweep kernels, so the per-element pairwise
-// k-association is identical and the autotuner's choice can never change
-// results.
+// TestGEMMTransposedCandidatesGolden pins the transposed dispatchers — B
+// transpose-packed for C = A·Bᵀ, A transpose-packed for C = Aᵀ·B —
+// against the naive references at the same degenerate shapes the forward
+// product is pinned on, plain and accumulating, under a worker count
+// larger than m for the small shapes.
 func TestGEMMTransposedCandidatesGolden(t *testing.T) {
 	old := SetWorkers(8)
 	defer SetWorkers(old)
 	rng := NewRNG(52)
 	// The forward v2Shapes plus the transposed-only edges: m past 256
-	// splits the gemmTN Aᵀ pack at the packBufCap/kc clamp for the kc=512
-	// candidates (the mc=128 block boundary is already in v2Shapes).
+	// splits the TMatMul Aᵀ pack into row blocks at the packBufCap/kc bound.
 	shapes := append(append([][3]int{}, v2Shapes...), [3]int{300, 520, 40}, [3]int{270, 600, 72})
 	for _, s := range shapes {
 		m, k, n := s[0], s[1], s[2]
@@ -30,101 +23,85 @@ func TestGEMMTransposedCandidatesGolden(t *testing.T) {
 			a, b := New(m, k), New(n, k)
 			fillSeq(a, rng)
 			fillSeq(b, rng)
-			want := refMatMulT(a, b)
-			checkTransposedCands(t, gemmNT, a, b, want, m, k, n, rng)
+			checkTransposed(t, MatMulTInto, a, b, refMatMulT(a, b), m, k, n, rng)
 		})
 		t.Run(fmt.Sprintf("TN/%dx%dx%d", m, k, n), func(t *testing.T) {
 			a, b := New(k, m), New(k, n)
 			fillSeq(a, rng)
 			fillSeq(b, rng)
-			want := refTMatMul(a, b)
-			checkTransposedCands(t, gemmTN, a, b, want, m, k, n, rng)
+			checkTransposed(t, TMatMulInto, a, b, refTMatMul(a, b), m, k, n, rng)
 		})
 	}
 }
 
-func checkTransposedCands(t *testing.T, v gemmVariant, a, b, want *Tensor, m, k, n int, rng *RNG) {
+func checkTransposed(t *testing.T, into func(c, a, b *Tensor, accumulate bool), a, b, want *Tensor, m, k, n int, rng *RNG) {
 	t.Helper()
-	var first *Tensor
-	for ci, cand := range tuneCandsT {
-		got := New(m, n)
-		gemmV2(v, got.data, a.data, b.data, m, k, n, false, cand)
-		if d := MaxAbsDiff(got, want); d > tol(k) {
-			t.Fatalf("candidate %d (%+v): differs from naive by %g", ci, cand, d)
-		}
-		if first == nil {
-			first = got
-		} else if i, ok := bitwiseEqual(got, first); !ok {
-			t.Fatalf("candidate %d (%+v): not bitwise-equal to candidate 0 at index %d", ci, cand, i)
-		}
-		// Accumulating form: C = seed + product.
-		acc := New(m, n)
-		fillSeq(acc, rng)
-		wantAcc := acc.Clone()
-		Add(wantAcc, want)
-		gemmV2(v, acc.data, a.data, b.data, m, k, n, true, cand)
-		if d := MaxAbsDiff(acc, wantAcc); d > tol(k) {
-			t.Fatalf("candidate %d (%+v) accumulate: differs by %g", ci, cand, d)
-		}
+	got := New(m, n)
+	into(got, a, b, false)
+	if d := MaxAbsDiff(got, want); d > tol(k) {
+		t.Fatalf("differs from naive by %g", d)
+	}
+	// Accumulating form: C = seed + product.
+	acc := New(m, n)
+	fillSeq(acc, rng)
+	wantAcc := acc.Clone()
+	Add(wantAcc, want)
+	into(acc, a, b, true)
+	if d := MaxAbsDiff(acc, wantAcc); d > tol(k) {
+		t.Fatalf("accumulate: differs by %g", d)
 	}
 }
 
-// transposedBackwardShapes are the Figure-1 FC backward products the
-// determinism goldens run on: the batch-576 input-gradient (A·Bᵀ) and
-// weight-gradient (Aᵀ·B) shapes, plus the small-m / small-n regimes where
-// the shared pack matters most.
-var transposedBackwardShapes = []struct {
+// determinismShapes are the products the worker-count determinism golden
+// runs on, named <op>/<case> with op NN (MatMul), NT (MatMulT) or TN
+// (TMatMul): the Figure-1 FC shapes (batch 576 and the small-m regime),
+// and the forward and backward shapes of the benchmark's GPT.
+var determinismShapes = []struct {
 	name    string
-	v       gemmVariant
 	m, k, n int
 }{
-	{"NT/input_grad_576x128", gemmNT, 576, 128, 128},
-	{"NT/input_grad_8x512", gemmNT, 8, 512, 512},
-	{"TN/weight_grad_128x576", gemmTN, 128, 576, 128},
-	{"TN/weight_grad_16x576x512", gemmTN, 16, 576, 512},
+	{"NN/forward_576x128", 576, 128, 128},
+	{"NN/forward_8x512", 8, 512, 512},
+	{"NN/bench_32x64x256", 32, 64, 256},
+	{"NN/bench_128x256x64", 128, 256, 64},
+	{"NT/input_grad_576x128", 576, 128, 128},
+	{"NT/input_grad_8x512", 8, 512, 512},
+	{"NT/bench_32x256x64", 32, 256, 64},
+	{"TN/weight_grad_128x576", 128, 576, 128},
+	{"TN/weight_grad_16x576x512", 16, 576, 512},
+	{"TN/bench_256x32x64", 256, 32, 64},
 }
 
-// TestTransposedGEMMBitwiseDeterminism pins MatMulT/TMatMul to one
-// reference output BITWISE at every worker count the training stack uses
-// and across every autotune candidate — the same contract the forward GEMM
-// and col2im carry: resizing the pool or re-tuning a bucket can never
-// perturb the backward passes. The reference is candidate 0 at one worker;
-// the public dispatcher is checked on top of the candidates, whatever
-// probe state its bucket is in.
+// TestTransposedGEMMBitwiseDeterminism pins every GEMM-family dispatcher —
+// MatMul, MatMulT and TMatMul — to its own one-worker output BITWISE at
+// every worker count the training stack uses, the same contract col2im
+// carries: resizing the pool can never perturb a forward or backward pass.
 func TestTransposedGEMMBitwiseDeterminism(t *testing.T) {
 	defer SetWorkers(SetWorkers(0))
-	for _, tc := range transposedBackwardShapes {
+	for _, tc := range determinismShapes {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := NewRNG(53)
 			var a, b *Tensor
-			if tc.v == gemmNT {
-				a, b = New(tc.m, tc.k), New(tc.n, tc.k)
-			} else {
-				a, b = New(tc.k, tc.m), New(tc.k, tc.n)
+			var into func(c, a, b *Tensor, accumulate bool)
+			switch tc.name[:2] {
+			case "NN":
+				a, b, into = New(tc.m, tc.k), New(tc.k, tc.n), MatMulInto
+			case "NT":
+				a, b, into = New(tc.m, tc.k), New(tc.n, tc.k), MatMulTInto
+			case "TN":
+				a, b, into = New(tc.k, tc.m), New(tc.k, tc.n), TMatMulInto
 			}
 			fillSeq(a, rng)
 			fillSeq(b, rng)
 			SetWorkers(1)
 			ref := New(tc.m, tc.n)
-			gemmV2(tc.v, ref.data, a.data, b.data, tc.m, tc.k, tc.n, false, tuneCandsT[0])
+			into(ref, a, b, false)
 			for _, w := range []int{1, 2, 3, 4, 8, 16} {
 				SetWorkers(w)
-				for ci, cand := range tuneCandsT {
-					out := New(tc.m, tc.n)
-					gemmV2(tc.v, out.data, a.data, b.data, tc.m, tc.k, tc.n, false, cand)
-					if i, ok := bitwiseEqual(out, ref); !ok {
-						t.Fatalf("workers=%d candidate %d (%+v): differs from reference at index %d",
-							w, ci, cand, i)
-					}
-				}
 				out := New(tc.m, tc.n)
-				if tc.v == gemmNT {
-					MatMulTInto(out, a, b, false)
-				} else {
-					TMatMulInto(out, a, b, false)
-				}
+				into(out, a, b, false)
 				if i, ok := bitwiseEqual(out, ref); !ok {
-					t.Fatalf("workers=%d: dispatcher differs from reference at index %d", w, i)
+					t.Fatalf("workers=%d: differs from the one-worker result at index %d", w, i)
 				}
 			}
 		})
@@ -146,10 +123,10 @@ func TestGemmPackATTiledGolden(t *testing.T) {
 		{37, 45, 5, 31, 7, 33},
 		{256, 512, 0, 256, 0, 512}, // exactly fills the pooled buffer
 	} {
-		a := New(s.k, s.m) // gemmTN's A operand is (k, m)
+		a := New(s.k, s.m) // TMatMul's A operand is (k, m)
 		fillSeq(a, rng)
 		got := make([]float32, s.mcur*s.kcur)
-		j := gemmV2JobFree.Get()
+		j := panelJobFree.Get()
 		j.a, j.m = a.data, s.m
 		j.i0, j.k0, j.kcur = s.i0, s.k0, s.kcur
 		j.pa = got
@@ -175,106 +152,6 @@ func TestGemmPackATTiledGolden(t *testing.T) {
 			}
 		}
 		j.a, j.pa = nil, nil
-		gemmV2JobFree.Put(j)
-	}
-}
-
-// TestTransposedTunePersistence round-trips a transposed-variant decision
-// through the JSON table: the variant key must survive save/load, and a
-// loaded bucket must skip probing with the same choice.
-func TestTransposedTunePersistence(t *testing.T) {
-	ResetTuneTable()
-	defer ResetTuneTable()
-	a, b, c := New(24, 200), New(48, 200), New(24, 48)
-	rng := NewRNG(54)
-	fillSeq(a, rng)
-	fillSeq(b, rng)
-	e := tuneFor(gemmNT, 24, 200, 48)
-	for i := 0; i < 4*len(e.cands)*tuneProbeRuns && e.chosen.Load() < 0; i++ {
-		gemmT(c.data, a.data, b.data, 24, 200, 48, false)
-	}
-	if e.chosen.Load() < 0 {
-		t.Fatal("autotuner did not decide after probe budget")
-	}
-	chosen := e.chosen.Load()
-	path := t.TempDir() + "/tune.json"
-	if err := SaveTuneTable(path); err != nil {
-		t.Fatal(err)
-	}
-	ResetTuneTable()
-	if err := LoadTuneTable(path); err != nil {
-		t.Fatal(err)
-	}
-	e2 := tuneFor(gemmNT, 24, 200, 48)
-	if got := e2.chosen.Load(); got != chosen {
-		t.Fatalf("reloaded choice %d, want %d", got, chosen)
-	}
-	// The forward bucket at the same shape must be unaffected: variants
-	// tune independently.
-	if got := tuneFor(gemmNN, 24, 200, 48).chosen.Load(); got != -1 {
-		t.Fatalf("forward bucket pre-decided to %d by a transposed record", got)
-	}
-}
-
-// TestFlushTuneTable pins the synchronous flush the cmds call at exit: the
-// debounced background saver can lose every freeze when a short-lived
-// process exits inside its coalescing window, so FlushTuneTable must write
-// the file immediately — but only once something has actually decided (an
-// undecided table must not clobber an earlier run's file).
-func TestFlushTuneTable(t *testing.T) {
-	path := t.TempDir() + "/tune.json"
-	t.Setenv("SAMO_GEMM_TUNE", path)
-	ResetTuneTable()
-	defer ResetTuneTable()
-
-	if err := FlushTuneTable(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("flush of an undecided table wrote a file")
-	}
-
-	a, b, c := New(24, 200), New(200, 48), New(24, 48)
-	rng := NewRNG(55)
-	fillSeq(a, rng)
-	fillSeq(b, rng)
-	e := tuneFor(gemmNN, 24, 200, 48)
-	for i := 0; i < 4*len(e.cands)*tuneProbeRuns && e.chosen.Load() < 0; i++ {
-		gemm(c.data, a.data, b.data, 24, 200, 48, false)
-	}
-	if e.chosen.Load() < 0 {
-		t.Fatal("autotuner did not decide after probe budget")
-	}
-	if err := FlushTuneTable(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("flush did not write the tune table: %v", err)
-	}
-	// Let the background saver's pending kick (from the freeze above)
-	// land before asserting on file absence below — its debounce window
-	// is 20ms and it would otherwise recreate the file we remove.
-	time.Sleep(150 * time.Millisecond)
-
-	// The flushed file must round-trip.
-	chosen := e.chosen.Load()
-	ResetTuneTable()
-	if err := LoadTuneTable(path); err != nil {
-		t.Fatal(err)
-	}
-	if got := tuneFor(gemmNN, 24, 200, 48).chosen.Load(); got != chosen {
-		t.Fatalf("flushed table reloaded choice %d, want %d", got, chosen)
-	}
-	// A table holding only disk-loaded decisions is not dirty: flushing
-	// again must not rewrite the file (it could rename a stale startup
-	// copy over a concurrent process's newer save).
-	if err := os.Remove(path); err != nil {
-		t.Fatal(err)
-	}
-	if err := FlushTuneTable(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("flush of a loaded-but-unchanged table rewrote the file")
+		panelJobFree.Put(j)
 	}
 }

@@ -352,7 +352,6 @@ func TestHasNonFiniteParallelGolden(t *testing.T) {
 // training step calls it once per parameter per step inside a zero-alloc
 // contract.
 func TestHasNonFiniteZeroAlloc(t *testing.T) {
-	t.Setenv("SAMO_GEMM_TUNE", "off") // hermetic process-wide alloc counting
 
 	big := New(4 * nonFiniteGrain)
 	HasNonFinite(big) // warm job pool and workers

@@ -28,30 +28,18 @@
 // and is safe to call mid-run; the pool itself is sized at GOMAXPROCS once.
 //
 // The dense GEMM family — the kernels the paper's dense-compute argument
-// rests on — runs a unified BLIS-style shared-pack pipeline: each kc×nc
-// panel of B is packed once per call by the workers cooperatively, then
-// swept by all of them, instead of once per worker (which duplicated
-// memory traffic exactly when rows-per-worker was small, the FC backward
-// regime). All three family members dispatch through it — the forward
-// product and the transposed backward products MatMulT (C = A·Bᵀ, input
-// gradient) and TMatMul (C = Aᵀ·B, weight gradient) — sharing the sweep
-// kernels and differing only in packing: MatMulT transpose-packs B
-// panels, TMatMul transpose-packs A blocks. A tiny per-shape autotuner,
-// bucketed by (op variant, ceil-log2 shape), picks among the blocking
-// candidates — shared-pack panels at three aspect ratios, a pack-free
-// direct-B kernel for very small forward m, an mc row-blocked variant for
-// tall m, and two v3 strip kernels that pack panels in 8-wide k-major
-// column strips and sweep them with eight register accumulators per C row
-// — by timing the first few real calls on each bucket; every candidate
-// produces bitwise-identical output at every worker count, so the choice
-// can never perturb training. Decisions persist by default under the user
-// cache dir (samo/gemm_tune.json) via a debounced background save and are
-// pre-loaded at startup; the persisted records carry the variant (omitted
-// for the forward product, so older tables load unchanged; records from
-// unknown future variants are skipped). SAMO_GEMM_TUNE overrides the path
-// ("off" disables); SaveTuneTable/LoadTuneTable give explicit control,
-// and FlushTuneTable persists synchronously for short-lived processes
-// that would exit inside the background saver's coalescing window.
+// rests on — runs one fixed blocking per product. The forward product
+// reads B in place with a 4-row register micro-kernel: at the workloads'
+// shapes a packed panel would be swept too few times for the pack to pay.
+// The transposed backward products MatMulT (C = A·Bᵀ, input gradient) and
+// TMatMul (C = Aᵀ·B, weight gradient) run a BLIS-style shared pack: each
+// panel of the effective B is packed once per call by the workers
+// cooperatively, then swept by all of them. MatMulT packs 8-wide k-major
+// column strips swept with eight register accumulators per C row; TMatMul
+// packs row-major panels against a transpose-packed A block. Every path
+// accumulates each C element in the same pairwise k order, so the result
+// is a pure function of the operands and the shape, bitwise-identical at
+// every worker count.
 //
 // The conv backward lowering (Col2Im), previously the last serial kernel
 // in the stack, runs as a parallel gather over disjoint (image, input-row)
@@ -79,18 +67,17 @@
 // FuzzSpMMTInto/FuzzSDDMMInto targets).
 //
 // Because sparse kernels only win above a density-dependent threshold, a
-// density-aware crossover — an autotuner keyed by (shape bucket, density
-// band) — times sparse against dense-masked execution on the first calls
+// density-aware crossover — keyed by (shape bucket, density band) — times sparse against dense-masked execution on the first calls
 // of each bucket and freezes the winner, so low-sparsity layers fall back
 // to the dense GEMM and never regress; a frozen bucket never re-probes
 // (the two paths differ in summation order, so flipping mid-training would
 // perturb results). SAMO_SPARSE_XOVER=sparse|dense pins the path
 // process-wide; scripts/bench.sh gates the ≥90%-sparsity points of the
-// BenchmarkSpMM matrix at MIN_SPMM_SPEEDUP. Like the GEMM blockings,
-// frozen crossover decisions persist under the user cache dir
-// (samo/sparse_xover.json, next to gemm_tune.json; SAMO_SPARSE_XOVER_TABLE
-// overrides the path, "off" disables) via the same debounced background
-// save, startup pre-load and corrupt-file quarantine — so a serving
+// BenchmarkSpMM matrix at MIN_SPMM_SPEEDUP. Frozen crossover decisions
+// persist under the user cache dir (samo/sparse_xover.json;
+// SAMO_SPARSE_XOVER_TABLE overrides the path, "off" disables) via a
+// debounced background save, startup pre-load and corrupt-file
+// quarantine — so a serving
 // process inherits its training run's execution paths instead of spending
 // its first requests probing; FlushXoverTable persists synchronously at
 // cmd exit.
@@ -113,9 +100,9 @@
 //
 // cmd/samo-serve puts it behind dynamic micro-batching (internal/serve):
 // concurrent single-sample requests gather into padded power-of-two
-// batches keyed like the GEMM autotuner's buckets, a bounded admission
-// queue converts overload into immediate backpressure (ErrOverloaded), and
-// Close drains gracefully and flushes both autotuner tables. The engine's
+// batches, a bounded admission queue converts overload into immediate
+// backpressure (ErrOverloaded), and Close drains gracefully and flushes
+// the crossover table. The engine's
 // determinism contract is batch-composition independence — under the
 // default fixed-bucket padding a response's bits depend only on the
 // sample, never on the traffic sharing its batch — and its load-test
@@ -334,34 +321,15 @@ func NewRNG(seed uint64) *RNG { return tensor.NewRNG(seed) }
 // count (work partitioning is static and reductions are single-owner).
 func SetWorkers(n int) int { return tensor.SetWorkers(n) }
 
-// SaveTuneTable persists the GEMM autotuner's per-shape blocking
-// decisions to a JSON file; LoadTuneTable pre-seeds them so a new process
-// (or a benchmark run) skips the probe phase. The choice never affects
-// results — every candidate blocking is bitwise-identical — only speed.
-func SaveTuneTable(path string) error { return tensor.SaveTuneTable(path) }
-
-// LoadTuneTable pre-seeds the GEMM autotuner from a SaveTuneTable file.
-func LoadTuneTable(path string) error { return tensor.LoadTuneTable(path) }
-
-// FlushTuneTable synchronously persists the autotuner's decisions to the
-// default tune path (SAMO_GEMM_TUNE, or the user cache dir). The
-// background saver debounces writes and cannot run at process exit, so
-// short-lived programs — the cmds call this as they return from run() —
-// would otherwise lose every blocking decision they probed. A no-op when
-// persistence is disabled or when this process has frozen no new decision
-// since startup (a table holding only disk-loaded decisions is never
-// rewritten, so a stale startup copy cannot clobber a concurrent
-// process's newer save).
-func FlushTuneTable() error { return tensor.FlushTuneTable() }
-
-// FlushXoverTable is FlushTuneTable's sparse-execution companion: it
-// synchronously persists the sparse/dense crossover decisions frozen in
-// this process to the default table path (SAMO_SPARSE_XOVER_TABLE, or
-// samo/sparse_xover.json under the user cache dir). The same dirty-flag
-// discipline applies — a process that froze nothing new writes nothing.
-// Unlike the GEMM blockings the two crossover paths are not bitwise
-// identical, so persistence also pins execution paths across processes:
-// a model served tomorrow runs the paths it trained on today.
+// FlushXoverTable synchronously persists the sparse/dense crossover
+// decisions frozen in this process to the default table path
+// (SAMO_SPARSE_XOVER_TABLE, or samo/sparse_xover.json under the user cache
+// dir). The background saver debounces writes and cannot run at process
+// exit, so short-lived programs — the cmds call this as they return from
+// run() — would otherwise lose them. A process that froze nothing new
+// writes nothing. The two crossover paths are not bitwise identical, so
+// persistence also pins execution paths across processes: a model served
+// tomorrow runs the paths it trained on today.
 func FlushXoverTable() error { return sparse.FlushXoverTable() }
 
 // NewTensor returns a zero-filled tensor with the given shape.
