@@ -252,7 +252,14 @@ func (m *CSR) SpMMTInto(c, b *tensor.Tensor) {
 	}
 	j := getCSRJob()
 	j.m, j.b, j.out, j.k = m, b.Data(), c.Data(), m.Cols
-	parallel.Run(n, csrRowGrain(n, n*m.NNZ()), j, spmmtChunk)
+	if useAVX2 && m.Rows > 0 {
+		m.checkPattern()
+		j.n = n
+		panels := (n + spmmtLanes - 1) / spmmtLanes
+		parallel.Run(panels, csrRowGrain(panels, n*m.NNZ()), j, spmmtPanelChunk)
+	} else {
+		parallel.Run(n, csrRowGrain(n, n*m.NNZ()), j, spmmtChunk)
+	}
 	putCSRJob(j)
 }
 

@@ -88,7 +88,8 @@ func FuzzSpMMInto(f *testing.F) {
 }
 
 // FuzzSpMMTInto checks the transposed-CSR SpMM C = B·Sᵀ — the sparse FC
-// forward/input-gradient product — against tensor.MatMulT(B, S_dense).
+// forward/input-gradient product — against tensor.MatMulT(B, S_dense), and
+// pins it bitwise to the portable spmmtChunk kernel.
 func FuzzSpMMTInto(f *testing.F) {
 	f.Add(uint16(0), uint16(8), uint16(8), uint8(128), uint64(1))
 	f.Add(uint16(8), uint16(0), uint16(8), uint8(128), uint64(2))
@@ -111,6 +112,11 @@ func FuzzSpMMTInto(f *testing.F) {
 		m.SpMMTInto(got, b)
 		if d := tensor.MaxAbsDiff(got, want); d > fuzzTol(cols) {
 			t.Fatalf("SpMMTInto(%dx%dx%d, %d nnz) differs from dense by %g", n, cols, rows, m.NNZ(), d)
+		}
+		portable := tensor.New(n, rows)
+		spmmtPortable(m, portable, b)
+		if i, ok := bitwiseEqualSlice(got.Data(), portable.Data()); !ok {
+			t.Fatalf("SpMMTInto(%dx%dx%d, %d nnz) differs from the portable kernel at %d", n, cols, rows, m.NNZ(), i)
 		}
 
 		defer tensor.SetWorkers(tensor.SetWorkers(1))

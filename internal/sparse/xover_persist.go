@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/sparse-dl/samo/internal/tensor"
 )
 
 // Crossover persistence. Frozen sparse/dense decisions are machine
@@ -26,6 +28,12 @@ import (
 // keeps the training run's execution paths. Runs needing machine-
 // independent numerics pin a path (SetXover / SAMO_SPARSE_XOVER) as before,
 // which bypasses the table entirely.
+//
+// Decisions are timings, and timings depend on the kernels: a table frozen
+// under the portable kernels would impose stale winners on an AVX2 build.
+// So the file records the kernel set it was measured with
+// (tensor.KernelSet), and a table from another kernel set — or one without
+// the field — is ignored until the next freeze rewrites it.
 
 // xoverDirty is set when a bucket freezes in THIS process — the in-memory
 // table holds a decision the file may lack. Disk-loaded entries do not set
@@ -45,6 +53,7 @@ type xoverRecord struct {
 
 type xoverFile struct {
 	Description string        `json:"description"`
+	KernelSet   string        `json:"kernel_set"`
 	Entries     []xoverRecord `json:"entries"`
 }
 
@@ -74,6 +83,7 @@ func SaveXoverTable(path string) error {
 	var f xoverFile
 	f.Description = "SAMO sparse/dense crossover decisions, keyed by (op, ceil-log2 shape, density band). " +
 		"Machine-specific; regenerate after hardware changes."
+	f.KernelSet = tensor.KernelSet()
 	xoverTable.mu.RLock()
 	for k, e := range xoverTable.m {
 		c, ok := e.Decided()
@@ -117,10 +127,16 @@ func SaveXoverTable(path string) error {
 // load failure worth quarantining at startup.
 var errXoverTableParse = errors.New("unparseable crossover table")
 
+// errXoverKernelSet marks a well-formed table measured under another kernel
+// set (or one predating the field): not applied, and not quarantined
+// either — the next freeze overwrites it.
+var errXoverKernelSet = errors.New("recorded under another kernel set")
+
 // LoadXoverTable pre-seeds the crossover from a file written by
 // SaveXoverTable: matching buckets skip the probe phase and are frozen to
 // the recorded winner. Records with an op or choice this build does not
-// know are skipped.
+// know are skipped. A table recorded under another kernel set applies
+// nothing and returns an error matching errXoverKernelSet.
 func LoadXoverTable(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -129,6 +145,10 @@ func LoadXoverTable(path string) error {
 	var f xoverFile
 	if err := json.Unmarshal(data, &f); err != nil {
 		return fmt.Errorf("sparse: crossover table %s: %w: %w", path, errXoverTableParse, err)
+	}
+	if f.KernelSet != tensor.KernelSet() {
+		return fmt.Errorf("sparse: crossover table %s: %w (%q, this process runs %q)",
+			path, errXoverKernelSet, f.KernelSet, tensor.KernelSet())
 	}
 	xoverTable.mu.Lock()
 	if xoverTable.m == nil {
@@ -222,11 +242,12 @@ func FlushXoverTable() error {
 // degradation: a corrupt table is quarantined to <path>.corrupt once (the
 // probe phase rebuilds it), a missing file re-probes silently, and other
 // errors surface only when the operator pointed SAMO_SPARSE_XOVER_TABLE at
-// the file. Returns the warning to log, or "".
+// the file; a table from another kernel set is skipped silently. Returns
+// the warning to log, or "".
 func startupLoadXoverTable(path string, explicit bool) string {
 	err := LoadXoverTable(path)
 	switch {
-	case err == nil || os.IsNotExist(err):
+	case err == nil || os.IsNotExist(err) || errors.Is(err, errXoverKernelSet):
 		return ""
 	case errors.Is(err, errXoverTableParse):
 		quarantine := path + ".corrupt"

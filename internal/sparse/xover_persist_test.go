@@ -1,11 +1,15 @@
 package sparse
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/sparse-dl/samo/internal/tensor"
 )
 
 // freezeXoverBucket drives one bucket through its probe phase with timings
@@ -66,6 +70,76 @@ func TestXoverTableRoundTrip(t *testing.T) {
 	// The mid-probe bucket was not persisted: still probing after the load.
 	if _, _, probe := XoverDecide(XoverOpForward, 64, 128, 128, 8192, 128*128); !probe {
 		t.Fatal("undecided bucket leaked into the persisted table")
+	}
+}
+
+// TestXoverTableKernelSet pins the stale-table rule: a table recorded under
+// another kernel set, or one without the kernel_set field, applies no
+// decision and is not quarantined, and the next freeze rewrites it under
+// this process's kernel set.
+func TestXoverTableKernelSet(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sparse_xover.json")
+	t.Setenv("SAMO_SPARSE_XOVER_TABLE", path)
+	ResetXover()
+	defer ResetXover()
+	if prev, err := SetXover("auto"); err != nil {
+		t.Fatal(err)
+	} else {
+		defer SetXover(prev)
+	}
+
+	// Flush, not Save: clearing the dirty flag keeps the background saver
+	// from rewriting the stale tables written below.
+	freezeXoverBucket(t, XoverOpForward, 64, 128, 128, 1638, 128*128, XoverSparse)
+	if err := FlushXoverTable(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	field := fmt.Sprintf(`"kernel_set": %q,`, tensor.KernelSet())
+	if !strings.Contains(string(data), field) {
+		t.Fatalf("saved table lacks %s:\n%s", field, data)
+	}
+
+	other := "avx2"
+	if tensor.KernelSet() == "avx2" {
+		other = "generic"
+	}
+	for _, stale := range []string{
+		strings.Replace(string(data), field, fmt.Sprintf(`"kernel_set": %q,`, other), 1),
+		strings.Replace(string(data), field, "", 1),
+	} {
+		if err := os.WriteFile(path, []byte(stale), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ResetXover()
+		if err := LoadXoverTable(path); !errors.Is(err, errXoverKernelSet) {
+			t.Fatalf("LoadXoverTable of a stale table: %v, want errXoverKernelSet", err)
+		}
+		if _, _, probe := XoverDecide(XoverOpForward, 64, 128, 128, 1638, 128*128); !probe {
+			t.Fatal("a stale table's decision was applied")
+		}
+		if msg := startupLoadXoverTable(path, true); msg != "" {
+			t.Fatalf("startup load of a stale table must be silent, got %q", msg)
+		}
+		if _, err := os.Stat(path); err != nil {
+			t.Fatalf("stale table was moved away: %v", err)
+		}
+	}
+
+	ResetXover()
+	freezeXoverBucket(t, XoverOpForward, 64, 128, 128, 1638, 128*128, XoverDense)
+	if err := FlushXoverTable(); err != nil {
+		t.Fatal(err)
+	}
+	ResetXover()
+	if err := LoadXoverTable(path); err != nil {
+		t.Fatalf("the freeze did not rewrite the stale table: %v", err)
+	}
+	if _, c, probe := XoverDecide(XoverOpForward, 64, 128, 128, 1638, 128*128); probe || c != XoverDense {
+		t.Fatalf("rewritten table: choice=%v probe=%v, want frozen dense", c, probe)
 	}
 }
 

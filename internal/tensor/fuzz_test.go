@@ -7,9 +7,10 @@ import (
 
 // FuzzMatMulInto drives both forward GEMM dispatch paths — the saxpy
 // small-shape kernel and the direct-B micro-kernel — against the naive
-// triple loop over fuzzer-chosen shapes. Shapes are folded into ranges
-// that cross the dispatch boundaries (m around gemmMR and the size gate,
-// k around the direct-B block height).
+// triple loop over fuzzer-chosen shapes, and pins the result bitwise to
+// the portable kernels (a no-op comparison where AVX2 is absent). Shapes
+// are folded into ranges that cross the dispatch boundaries (m around
+// gemmMR and the size gate, k around the direct-B block height).
 func FuzzMatMulInto(f *testing.F) {
 	// Seeded degenerate corpus: dispatch-gate boundaries, micro-kernel
 	// remainders, block crossings, empty dims.
@@ -41,13 +42,14 @@ func FuzzMatMulInto(f *testing.F) {
 		if d := MaxAbsDiff(got, want); d > tol(k) {
 			t.Fatalf("MatMulInto(%dx%dx%d, acc=%v) differs from naive by %g", m, k, n, accumulate, d)
 		}
+		matchPortable(t, "MatMulInto", got, cSeed, func(c *Tensor) { MatMulInto(c, a, b, accumulate) })
 	})
 }
 
 // FuzzMatMulTInto drives the C = A·Bᵀ dispatcher — the tiled small-shape
 // kernel and the shared-pack strip pipeline — against the naive triple
 // loop over fuzzer-chosen shapes, with the same dispatch-boundary folding
-// as FuzzMatMulInto.
+// and bitwise-vs-portable pin as FuzzMatMulInto.
 func FuzzMatMulTInto(f *testing.F) {
 	seedTransposedCorpus(f)
 	f.Fuzz(func(t *testing.T, mr, kr, nr uint16, seed uint64, accumulate bool) {
@@ -69,6 +71,7 @@ func FuzzMatMulTInto(f *testing.F) {
 		if d := MaxAbsDiff(got, want); d > tol(k) {
 			t.Fatalf("MatMulTInto(%dx%dx%d, acc=%v) differs from naive by %g", m, k, n, accumulate, d)
 		}
+		matchPortable(t, "MatMulTInto", got, cSeed, func(c *Tensor) { MatMulTInto(c, a, b, accumulate) })
 	})
 }
 
@@ -95,6 +98,7 @@ func FuzzTMatMulInto(f *testing.F) {
 		if d := MaxAbsDiff(got, want); d > tol(k) {
 			t.Fatalf("TMatMulInto(%dx%dx%d, acc=%v) differs from naive by %g", m, k, n, accumulate, d)
 		}
+		matchPortable(t, "TMatMulInto", got, cSeed, func(c *Tensor) { TMatMulInto(c, a, b, accumulate) })
 	})
 }
 

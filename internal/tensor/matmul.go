@@ -42,8 +42,12 @@ func ResetTuneTable() {}
 
 // MatMul computes C = A·B for A of shape (m,k) and B of shape (k,n),
 // returning a new (m,n) tensor. This is the dense kernel standing in for
-// cuBLAS: SAMO's whole design rests on the observation that this path is far
-// faster than sparse kernels at DL sparsities, so θ16 stays dense.
+// cuBLAS: SAMO's whole design rests on the observation that a tuned dense
+// GEMM is far faster than sparse kernels at DL sparsities, so θ16 stays
+// dense. On amd64 with AVX2 its register-blocked micro-kernel runs as
+// assembly (see the package doc), and so does the transposed SpMM in
+// package sparse, so the measured sparse/dense crossover compares vector
+// kernels on both sides.
 func MatMul(a, b *Tensor) *Tensor {
 	m, k, n := gemmDims(a, b)
 	c := New(m, n)
@@ -252,13 +256,17 @@ func gemmSweepChunk(ctx any, lo, hi int) {
 			zeroSlice(c[i*n+j0 : i*n+j0+ncur])
 		}
 	}
+	micro4, micro1 := gemmMicro4, gemmMicro1
+	if useAVX2 {
+		micro4, micro1 = gemmMicro4AVX2, gemmMicro1AVX2
+	}
 	i := lo
 	for ; i+gemmMR <= hi; i += gemmMR {
-		gemmMicro4(c, pa, pb, aOff, kcur, 0, ncur, i, n, kcur, j0, ncur)
+		micro4(c, pa, pb, aOff, kcur, 0, ncur, i, n, kcur, j0, ncur)
 		aOff += gemmMR * kcur
 	}
 	for ; i < hi; i++ {
-		gemmMicro1(c, pa, pb, aOff, kcur, 0, ncur, i, n, kcur, j0, ncur)
+		micro1(c, pa, pb, aOff, kcur, 0, ncur, i, n, kcur, j0, ncur)
 		aOff += kcur
 	}
 }
@@ -329,6 +337,10 @@ func gemmPackATChunk(ctx any, lo, hi int) {
 // sum in a register instead of memory does not change its value.
 func gemmStripSweepChunk(ctx any, lo, hi int) {
 	g := ctx.(*panelJob)
+	if useAVX2 {
+		gemmStripSweepAVX2(g, lo, hi)
+		return
+	}
 	c, a, pb := g.c, g.a, g.pb
 	k, n := g.k, g.n
 	k0, kcur, j0, ncur := g.k0, g.kcur, g.j0, g.ncur
@@ -426,16 +438,20 @@ func gemmDirectChunk(ctx any, lo, hi int) {
 	if !g.accumulate {
 		zeroSlice(c[lo*n : hi*n])
 	}
+	micro4, micro1 := gemmMicro4, gemmMicro1
+	if useAVX2 {
+		micro4, micro1 = gemmMicro4AVX2, gemmMicro1AVX2
+	}
 	for k0 := 0; k0 < k; k0 += directKC {
 		kcur := min(directKC, k-k0)
 		for j0 := 0; j0 < n; j0 += directNC {
 			ncur := min(directNC, n-j0)
 			i := lo
 			for ; i+gemmMR <= hi; i += gemmMR {
-				gemmMicro4(c, a, b, i*k+k0, k, k0*n+j0, n, i, n, kcur, j0, ncur)
+				micro4(c, a, b, i*k+k0, k, k0*n+j0, n, i, n, kcur, j0, ncur)
 			}
 			for ; i < hi; i++ {
-				gemmMicro1(c, a, b, i*k+k0, k, k0*n+j0, n, i, n, kcur, j0, ncur)
+				micro1(c, a, b, i*k+k0, k, k0*n+j0, n, i, n, kcur, j0, ncur)
 			}
 		}
 	}

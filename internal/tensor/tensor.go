@@ -6,6 +6,19 @@
 // The package plays the role cuBLAS/cuDNN+PyTorch play in the paper: the
 // dense compute path that SAMO deliberately keeps — θ16 stays dense so the
 // forward and backward passes can use these kernels unmodified.
+//
+// # Kernels and the bitwise contract
+//
+// The GEMM micro-kernels are portable Go. On amd64 CPUs with AVX2 (checked
+// once at init: CPUID AVX2 and OSXSAVE, XGETBV YMM state) their 8-aligned
+// column blocks run assembly instead (gemm_amd64.s; KernelSet reports
+// which set runs). The assembly performs each element's float32 multiplies
+// and adds separately, in the portable kernel's order, so on amd64 every
+// result is bitwise-identical with or without AVX2
+// (TestSIMDKernelsMatchPortable, and the GEMM fuzz targets, pin it). The
+// contract is per GOARCH: elsewhere only the portable kernels run, and the
+// Go compiler may fuse x*y+z into one rounding there (it does on arm64), so
+// results may differ from amd64's in the last bit.
 package tensor
 
 import (

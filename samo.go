@@ -41,6 +41,17 @@
 // is a pure function of the operands and the shape, bitwise-identical at
 // every worker count.
 //
+// On amd64 the micro-kernels' 8-aligned column blocks and the transposed
+// SpMM run AVX2 assembly, selected once at startup from CPUID. The
+// assembly uses separate multiplies and adds (no FMA, no AVX-512) in the
+// portable Go kernels' per-element order, so on amd64 results are
+// bitwise-identical with or without AVX2, and the Go compiler never fuses
+// x*y+z there either. The bitwise contract is per GOARCH: other
+// architectures run the portable kernels, where Go may fuse x*y+z into one
+// rounding (arm64 does), so their results can differ from amd64's in the
+// last bit. The bitwise goldens are asserted on amd64 (where CI runs
+// them); they claim nothing about an arm64 run reproducing an amd64 one.
+//
 // The conv backward lowering (Col2Im), previously the last serial kernel
 // in the stack, runs as a parallel gather over disjoint (image, input-row)
 // strips: each worker visits the contributions to its rows in the serial
