@@ -30,12 +30,6 @@ func main() {
 // run is the testable body of the command: flags parse from args, output
 // goes to out, and failures return instead of exiting the process.
 func run(args []string, out io.Writer) error {
-	// The crossover table's background saver debounces writes, so a short
-	// training run can exit before any decision reaches disk; flush it
-	// synchronously on every exit path (best-effort — a failed write only
-	// means the next run re-probes). It is what hands a later samo-serve
-	// this run's frozen sparse/dense execution paths.
-	defer func() { _ = samo.FlushXoverTable() }()
 	fs := flag.NewFlagSet("samo-train", flag.ContinueOnError)
 	// Parse errors are returned (main prints them once, to stderr);
 	// -h gets the usage on the success writer and a clean exit.

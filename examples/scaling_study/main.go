@@ -122,18 +122,8 @@ func runSparseExec(out io.Writer, sparsity float64, steps int) error {
 		targets[i] = rng.Intn(classes)
 	}
 
-	// Pin the sparse path for the measurement: the crossover needs several
-	// timed calls per bucket before it freezes, and mixing those probe-phase
-	// dense executions into the timed steps would understate the speedup.
-	// (The masked-dense model has no sparse layers; the pin is a no-op for
-	// it.)
-	prevMode, err := samo.SetSparseCompute("sparse")
-	if err != nil {
-		return err
-	}
-	defer samo.SetSparseCompute(prevMode)
-
-	fmt.Fprintf(out, "sparse execution on this host: %d-%d-%d-%d MLP, batch %d, sparsity %.2f, %d steps\n\n",
+	fmt.Fprintf(out, "sparse execution on this host: %d-%d-%d-%d MLP, batch %d, sparsity %.2f, %d steps "+
+		"(the crossover rule runs every product on the CSR kernels from sparsity 0.5 up)\n\n",
 		in, hidden, hidden, classes, batch, sparsity, steps)
 	run := func(label string, m *samo.Model) (msPerStep float64, loss float64, state *samo.State) {
 		state = samo.NewState(m, samo.NewAdam(1e-3), samo.ModeSAMO, pr)
@@ -179,14 +169,6 @@ func runScheduleStudy(out io.Writer, initial float64, steps int) error {
 	for i := range targets {
 		targets[i] = rng.Intn(classes)
 	}
-	// Pin the sparse path (see runSparseExec) so crossover probing does not
-	// blur the timings; the masked-dense reference has no sparse layers.
-	prevMode, err := samo.SetSparseCompute("sparse")
-	if err != nil {
-		return err
-	}
-	defer samo.SetSparseCompute(prevMode)
-
 	// The cubic ramp spans the middle half of the run so every schedule has
 	// warm-up steps before and adaptation steps after its events.
 	begin, end := steps/4, steps-steps/4

@@ -4,7 +4,7 @@
 // methods); this package holds the *executable* Sputnik-style baseline: a
 // fully connected layer whose weights stay in CSR and whose forward/backward
 // run real sparse kernels (SpMM and SDDMM, the two kernels Gale et al.'s
-// Sputnik provides), with the density-aware crossover pinned OFF so the
+// Sputnik provides), with the density-aware crossover rule bypassed so the
 // sparse path runs unconditionally. Since the sparse execution path became
 // first-class (nn.SparseLinear), this is a thin pin of that layer to
 // ExecSparse plus the plain-SGD machinery the baseline comparisons use.

@@ -10,7 +10,11 @@
 // length + CRC-32 of the data file. Shards exist because the axonn engine
 // partitions the model across pipeline stages: shard s is stage s's slice of
 // the model, and a step is durable only when EVERY shard of that step
-// verifies.
+// verifies. A manifest is bound to its name: its step, shard and file must
+// match the (step, shard) it is stored under, and the data file read is
+// always the one that name implies, so a copied or edited manifest cannot
+// redirect a load to another step's bytes or outside the directory
+// (MismatchError).
 //
 // Durability discipline, in order: data to a temp file, fsync, rename;
 // manifest to a temp file, fsync, rename; fsync the directory; then re-open
@@ -177,7 +181,7 @@ func (m *Manager) writeManifest(step, shard int, man *Manifest) error {
 	if err != nil {
 		return fmt.Errorf("ckpt: %w", err)
 	}
-	tmp, err := os.CreateTemp(m.opts.Dir, man.File+".json.tmp-*")
+	tmp, err := os.CreateTemp(m.opts.Dir, m.dataName(step, shard)+".json.tmp-*")
 	if err != nil {
 		return fmt.Errorf("ckpt: %w", err)
 	}
@@ -233,24 +237,63 @@ func verifyData(path string, man *Manifest) error {
 	return nil
 }
 
-// readManifest parses and sanity-checks one manifest file.
-func (m *Manager) readManifest(path string) (*Manifest, error) {
+// MismatchError reports a manifest that disagrees with the (step, shard)
+// name it was read under: a copied or renamed sidecar, or one whose File
+// points anywhere but its own data file. Such a manifest is refused rather
+// than followed, so a step can only ever load its own bytes from inside the
+// checkpoint directory.
+type MismatchError struct {
+	Step, Shard int    // the (step, shard) the manifest was read for
+	Field       string // "step", "shard" or "file"
+	Got, Want   string
+}
+
+func (e *MismatchError) Error() string {
+	return fmt.Sprintf("manifest for step %d shard %d has %s %q, want %q",
+		e.Step, e.Shard, e.Field, e.Got, e.Want)
+}
+
+// readManifest reads and checks the manifest of (step, shard).
+func (m *Manager) readManifest(step, shard int) (*Manifest, error) {
+	path := filepath.Join(m.opts.Dir, m.manifestName(step, shard))
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var man Manifest
-	if err := json.Unmarshal(raw, &man); err != nil {
+	man, err := m.parseManifest(raw, step, shard)
+	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
+	return man, nil
+}
+
+// parseManifest decodes one manifest and checks it against the manager's
+// configuration and against the (step, shard) it was stored for.
+func (m *Manager) parseManifest(raw []byte, step, shard int) (*Manifest, error) {
+	var man Manifest
+	if err := json.Unmarshal(raw, &man); err != nil {
+		return nil, err
+	}
 	if man.Version != manifestVersion {
-		return nil, fmt.Errorf("%s: manifest version %d, want %d", path, man.Version, manifestVersion)
+		return nil, fmt.Errorf("manifest version %d, want %d", man.Version, manifestVersion)
 	}
 	if man.Shards != m.opts.Shards {
-		return nil, fmt.Errorf("%s: %d shards, manager expects %d", path, man.Shards, m.opts.Shards)
+		return nil, fmt.Errorf("%d shards, manager expects %d", man.Shards, m.opts.Shards)
 	}
 	if man.Tag != m.opts.Tag {
-		return nil, fmt.Errorf("%s: tag %q, manager expects %q", path, man.Tag, m.opts.Tag)
+		return nil, fmt.Errorf("tag %q, manager expects %q", man.Tag, m.opts.Tag)
+	}
+	mismatch := func(field string, got, want any) error {
+		return &MismatchError{Step: step, Shard: shard, Field: field,
+			Got: fmt.Sprint(got), Want: fmt.Sprint(want)}
+	}
+	switch {
+	case man.Step != step:
+		return nil, mismatch("step", man.Step, step)
+	case man.Shard != shard:
+		return nil, mismatch("shard", man.Shard, shard)
+	case man.File != m.dataName(step, shard):
+		return nil, mismatch("file", man.File, m.dataName(step, shard))
 	}
 	return &man, nil
 }
@@ -282,11 +325,11 @@ func (m *Manager) steps() ([]int, error) {
 // data file matching it.
 func (m *Manager) verifyStep(step int) error {
 	for shard := 0; shard < m.opts.Shards; shard++ {
-		man, err := m.readManifest(filepath.Join(m.opts.Dir, m.manifestName(step, shard)))
+		man, err := m.readManifest(step, shard)
 		if err != nil {
 			return fmt.Errorf("step %d shard %d: %w", step, shard, err)
 		}
-		if err := verifyData(filepath.Join(m.opts.Dir, man.File), man); err != nil {
+		if err := verifyData(filepath.Join(m.opts.Dir, m.dataName(step, shard)), man); err != nil {
 			return fmt.Errorf("step %d shard %d: %w", step, shard, err)
 		}
 	}
@@ -321,7 +364,7 @@ func (m *Manager) LatestStep() (step int, warnings []string, ok bool) {
 func (m *Manager) Load(step, shard int, st State) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	man, err := m.readManifest(filepath.Join(m.opts.Dir, m.manifestName(step, shard)))
+	man, err := m.readManifest(step, shard)
 	if err != nil {
 		return fmt.Errorf("ckpt: %w", err)
 	}
@@ -329,7 +372,7 @@ func (m *Manager) Load(step, shard int, st State) error {
 		return fmt.Errorf("ckpt: step %d shard %d fingerprint %#x does not match state %#x (different model/optimizer/pruning config)",
 			step, shard, man.Fingerprint, st.Fingerprint())
 	}
-	path := filepath.Join(m.opts.Dir, man.File)
+	path := filepath.Join(m.opts.Dir, m.dataName(step, shard))
 	if err := verifyData(path, man); err != nil {
 		return fmt.Errorf("ckpt: %w", err)
 	}

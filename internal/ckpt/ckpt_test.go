@@ -2,7 +2,10 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -254,5 +257,58 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	if err := m.Save(1, 5, &fakeState{}); err == nil {
 		t.Fatal("out-of-range shard accepted")
+	}
+}
+
+// TestManifestBoundToItsName pins the manifest-name binding: a copy of step
+// 3's manifest saved under step 5's name must neither make step 5 the
+// latest checkpoint nor load step 3's bytes as step 5, and a manifest whose
+// File climbs out of the directory is refused even when the bytes it names
+// would verify.
+func TestManifestBoundToItsName(t *testing.T) {
+	m := newMgr(t, 1, 2)
+	saveStep(t, m, 3, 1)
+	raw, err := os.ReadFile(filepath.Join(m.Dir(), m.manifestName(3, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(m.Dir(), m.manifestName(5, 0)), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	step, warns, ok := m.LatestStep()
+	if !ok || step != 3 || len(warns) != 1 || !strings.Contains(warns[0], "step 5") {
+		t.Fatalf("renamed manifest: LatestStep = %d, %v, %v; want 3 with a warning naming step 5", step, warns, ok)
+	}
+	var mis *MismatchError
+	if err := m.Load(5, 0, &fakeState{fp: 0}); !errors.As(err, &mis) || mis.Field != "step" {
+		t.Fatalf("Load(5) through step 3's manifest: %v, want a step MismatchError", err)
+	}
+
+	// A manifest for step 1 whose File points outside the directory at
+	// bytes that match its length and CRC.
+	outside := filepath.Join(t.TempDir(), "outside.samo")
+	data := payload(1, 0)
+	if err := os.WriteFile(outside, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rel, err := filepath.Rel(m.Dir(), outside)
+	if err != nil || !strings.HasPrefix(rel, "..") {
+		t.Fatalf("test setup: %q relative to %q = %q, %v", outside, m.Dir(), rel, err)
+	}
+	man := Manifest{Version: manifestVersion, Step: 1, Shard: 0, Shards: 1, Tag: "test-cfg",
+		Bytes: int64(len(data)), CRC: crc32.ChecksumIEEE(data), File: rel}
+	enc, err := json.Marshal(&man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(m.Dir(), m.manifestName(1, 0)), enc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st := &fakeState{fp: 0}
+	if err := m.Load(1, 0, st); !errors.As(err, &mis) || mis.Field != "file" {
+		t.Fatalf("Load through a ../ manifest: %v (payload %q), want a file MismatchError", err, st.payload)
+	}
+	if err := m.verifyStep(1); !errors.As(err, &mis) {
+		t.Fatalf("verifyStep through a ../ manifest: %v, want a MismatchError", err)
 	}
 }

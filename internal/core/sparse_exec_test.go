@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"github.com/sparse-dl/samo/internal/nn"
 	"github.com/sparse-dl/samo/internal/optim"
 	"github.com/sparse-dl/samo/internal/prune"
+	"github.com/sparse-dl/samo/internal/sparse"
 	"github.com/sparse-dl/samo/internal/tensor"
 )
 
@@ -83,8 +85,8 @@ func TestSparseLinearForwardBackwardZeroAlloc(t *testing.T) {
 }
 
 // TestSparseExecTrainStepDeterminism pins the acceptance contract on the
-// whole pruned-model training step: with the execution path pinned (the
-// crossover's machine-dependent freeze held fixed), training is
+// whole pruned-model training step: with the execution path pinned,
+// training is
 // bitwise-identical at every worker count — every sparse kernel accumulates
 // in a fixed per-element order, so pool resizing can never perturb results.
 func TestSparseExecTrainStepDeterminism(t *testing.T) {
@@ -112,6 +114,93 @@ func TestSparseExecTrainStepDeterminism(t *testing.T) {
 				if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
 					t.Fatalf("workers=%d: param %d differs from 1-worker run at %d (%g vs %g)",
 						workers, pi, i, a[i], b[i])
+				}
+			}
+		}
+	}
+}
+
+// TestSparseExecAutoReproducible pins run-to-run reproducibility of the
+// default execution mode: the sparse/dense crossover is a fixed rule of
+// each layer's density, so two identical ExecAuto trainings of a
+// Sparsify'd MLP in one process produce the same float64 loss bits at
+// every step. It runs at 50% sparsity, where the rule keeps every product
+// on the CSR kernels (so the run equals the ExecSparse run), and at 25%,
+// where it computes input gradients on the dense GEMM; in both, every
+// layer's forward and input gradient equal those of the layer pinned to
+// the path the rule picks.
+func TestSparseExecAutoReproducible(t *testing.T) {
+	const batch, in, hidden, classes, steps = 64, 256, 256, 16, 4
+	build := func(sparsity float64, exec nn.ExecMode) (*nn.Model, *prune.Result) {
+		m := nn.BuildMLP("rmlp", []int{in, hidden, hidden, classes}, tensor.NewRNG(41))
+		var layers []prune.Layer
+		for _, e := range m.PruneLayers() {
+			layers = append(layers, prune.Layer{Name: e.Name, Values: e.Param.Value.Data()})
+		}
+		pr := prune.MagnitudePerLayer(layers, sparsity)
+		sm := nn.Sparsify(m, pr)
+		for _, l := range sm.Layers {
+			if sl, ok := l.(*nn.SparseLinear); ok {
+				sl.Exec = exec
+			}
+		}
+		return sm, pr
+	}
+	train := func(sparsity float64, exec nn.ExecMode) []uint64 {
+		m, pr := build(sparsity, exec)
+		tr := NewTrainer(NewModelState(m, optim.NewAdam(0.01), SAMO, pr))
+		var bits []uint64
+		for step := 0; step < steps; step++ {
+			x, targets := makeBatch(batch, in, classes, uint64(500+step))
+			loss, _ := tr.TrainStep(x, targets)
+			bits = append(bits, math.Float64bits(loss))
+		}
+		return bits
+	}
+	sameLoss := func(what string, a, b []uint64) {
+		t.Helper()
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("%s: loss bits differ at step %d: %016x vs %016x", what, i, a[i], b[i])
+			}
+		}
+	}
+	for _, sparsity := range []float64{0.5, 0.25} {
+		first := train(sparsity, nn.ExecAuto)
+		sameLoss(fmt.Sprintf("sparsity %.2f, second ExecAuto run", sparsity), first, train(sparsity, nn.ExecAuto))
+		if sparsity == 0.5 {
+			sameLoss("sparsity 0.50, ExecSparse run", first, train(sparsity, nn.ExecSparse))
+		}
+
+		auto, _ := build(sparsity, nn.ExecAuto)
+		sp, _ := build(sparsity, nn.ExecSparse)
+		de, _ := build(sparsity, nn.ExecDense)
+		pinned := map[sparse.XoverChoice]*nn.Model{sparse.XoverSparse: sp, sparse.XoverDense: de}
+		for li, l := range auto.Layers {
+			al, ok := l.(*nn.SparseLinear)
+			if !ok {
+				continue
+			}
+			n, full := al.NNZ(), al.PatternFullLen()
+			fwd := pinned[sparse.Xover(sparse.XoverOpForward, n, full)].Layers[li].(*nn.SparseLinear)
+			bwd := pinned[sparse.Xover(sparse.XoverOpBackward, n, full)].Layers[li].(*nn.SparseLinear)
+			if sparsity == 0.25 && bwd.Exec != nn.ExecDense {
+				t.Fatalf("layer %d: the rule keeps the input gradient sparse at sparsity 0.25", li)
+			}
+			x, _ := makeBatch(batch, al.W.Cols, classes, uint64(600+li))
+			gy, _ := makeBatch(batch, al.W.Rows, classes, uint64(700+li))
+			ya, c := al.Forward(nil, x, true)
+			dxa := al.Backward(nil, c, gy)
+			yf, c := fwd.Forward(nil, x, true)
+			fwd.Backward(nil, c, gy)
+			_, c = bwd.Forward(nil, x, true)
+			dxb := bwd.Backward(nil, c, gy)
+			for what, pair := range map[string][2]*tensor.Tensor{"forward": {ya, yf}, "input gradient": {dxa, dxb}} {
+				for i, v := range pair[0].Data() {
+					if math.Float32bits(v) != math.Float32bits(pair[1].Data()[i]) {
+						t.Fatalf("sparsity %.2f layer %d: ExecAuto %s differs from the path the rule picks at %d",
+							sparsity, li, what, i)
+					}
 				}
 			}
 		}

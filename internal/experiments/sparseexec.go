@@ -24,10 +24,10 @@ type SparseExecRow struct {
 // times one FC layer's forward+backward at the paper's pruned sparsities,
 // masked-dense (nn.Linear over weights with zeros) versus first-class
 // sparse execution (nn.SparseLinear pinned to the CSR kernels), and prints
-// the pruned-FLOPs speedup. The expected shape: sparse loses or roughly
-// ties at 50% sparsity — the regime where the density-aware crossover
-// falls back to dense — and wins increasingly past 90%, where only
-// (1−p)·flops survive.
+// the pruned-FLOPs speedup. The expected shape: sparse loses at 50%
+// sparsity — the products roughly tie there, and the weight gradient's
+// SDDMM, still scalar, is slower than the dense GEMM it replaces — and wins
+// increasingly past 90%, where only (1−p)·flops survive.
 func SparseExec(w io.Writer) []SparseExecRow {
 	const batch = 64
 	const timedIters = 3
@@ -68,7 +68,7 @@ func SparseExec(w io.Writer) []SparseExecRow {
 				dim, sparsity, r.DenseMS, r.SparseMS, r.Speedup)
 		}
 	}
-	fmt.Fprintln(w, "(speedup < 1 at low sparsity is the crossover's point: it falls back to dense there)")
+	fmt.Fprintln(w, "(speedup < 1 at 50% sparsity: the products tie there and the scalar SDDMM weight gradient loses)")
 	return rows
 }
 

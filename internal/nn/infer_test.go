@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/sparse-dl/samo/internal/prune"
-	"github.com/sparse-dl/samo/internal/sparse"
 	"github.com/sparse-dl/samo/internal/tensor"
 )
 
@@ -102,19 +101,15 @@ func TestInferMatchesEvalForward(t *testing.T) {
 
 // TestInferSparsifiedMatchesEvalForward extends the golden to sparse
 // execution: a Sparsify'd MLP's inference path must match its own eval
-// forward bitwise at every worker count. The crossover is pinned sparse —
-// path choice is the one legitimately timing-dependent decision in the
-// stack, and pinning is exactly what reproducibility-sensitive runs do.
+// forward bitwise at every worker count, with every sparse layer pinned
+// to each execution path in turn.
 func TestInferSparsifiedMatchesEvalForward(t *testing.T) {
 	defer tensor.SetWorkers(tensor.SetWorkers(0))
-	for _, mode := range []string{"sparse", "dense"} {
-		t.Run(mode, func(t *testing.T) {
-			prev, err := sparse.SetXover(mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sparse.SetXover(prev)
-
+	for _, tc := range []struct {
+		mode string
+		exec ExecMode
+	}{{"sparse", ExecSparse}, {"dense", ExecDense}} {
+		t.Run(tc.mode, func(t *testing.T) {
 			rng := tensor.NewRNG(5)
 			base := BuildMLP("smlp", []int{24, 48, 10}, rng)
 			var layers []prune.Layer
@@ -123,6 +118,11 @@ func TestInferSparsifiedMatchesEvalForward(t *testing.T) {
 			}
 			pr := prune.MagnitudePerLayer(layers, 0.9)
 			m := Sparsify(base, pr)
+			for _, l := range m.Layers {
+				if sl, ok := l.(*SparseLinear); ok {
+					sl.Exec = tc.exec
+				}
+			}
 			x := tensor.New(6, 24)
 			tensor.FillNormal(x, 1, rng)
 
@@ -186,9 +186,6 @@ func TestInferNoAliasing(t *testing.T) {
 // allocations on every model family — activations ping-pong between two
 // arenas sized to the forward working set, and no cache pools are touched.
 func TestInferWindowedZeroAlloc(t *testing.T) {
-	// Hermetic allocation counting: a background crossover-table save
-	// would show up as phantom allocs.
-	t.Setenv("SAMO_SPARSE_XOVER_TABLE", "off")
 	for _, tc := range inferTestModels() {
 		t.Run(tc.name, func(t *testing.T) {
 			a, b := tensor.NewArena(), tensor.NewArena()

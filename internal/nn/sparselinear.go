@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"github.com/sparse-dl/samo/internal/parallel"
 	"github.com/sparse-dl/samo/internal/prune"
@@ -22,12 +21,13 @@ import (
 // optimizer) is sized fφ with no masking step.
 //
 // Because sparse kernels only win above a density-dependent threshold
-// (Hoefler et al. 2021), each product consults the sparse/dense crossover
-// (sparse.XoverDecide): low-sparsity layers fall back to a dense GEMM over
-// a lazily materialized masked-dense copy of the weight and never regress,
-// while the weight gradient stays SDDMM on either path (the dense-masked
-// weight-gradient would materialize exactly the pruned entries this layer
-// exists to avoid). The Exec field pins the choice per layer.
+// (Hoefler et al. 2021), each product follows the fixed sparse/dense
+// crossover rule (sparse.Xover) of the layer's density: a layer keeping
+// more than half its weights computes its input gradient with a dense GEMM
+// over a lazily materialized masked-dense copy of the weight, while the
+// weight gradient stays SDDMM on either path (the dense-masked weight
+// gradient would materialize exactly the pruned entries this layer exists
+// to avoid). The Exec field pins the choice per layer.
 //
 // The optimizer sees the weight as Wv — a rank-1 parameter of length NNZ
 // whose Value aliases W.Val — so core.ModelState drives it through its
@@ -51,17 +51,17 @@ type SparseLinear struct {
 	Wv, B *Param
 
 	// Exec pins this layer's execution path (benchmarks, the pure-sparse
-	// baseline); ExecAuto consults the crossover per product shape.
+	// baseline); ExecAuto follows the crossover rule.
 	Exec ExecMode
 
 	in, out int
 
-	// Masked-dense fallback state, materialized only while the crossover
-	// probes or has chosen the dense path and dropped again after
-	// denseDropAfter consecutive sparse-path products. denseFresh marks the
-	// copy as synced by THIS microbatch's Forward, letting its Backward
-	// skip the O(out·in) re-materialization (weights cannot change between
-	// a microbatch's forward and backward — only at step boundaries).
+	// Masked-dense fallback state, materialized on the first dense-path
+	// product and dropped again after denseDropAfter consecutive
+	// sparse-path products. denseFresh marks the copy as synced by THIS
+	// microbatch's Forward, letting its Backward skip the O(out·in)
+	// re-materialization (weights cannot change between a microbatch's
+	// forward and backward — only at step boundaries).
 	denseW     *tensor.Tensor // (out, in), zeros at pruned positions
 	denseIx    *sparse.Index  // scatter map: pattern order -> (out, in) view
 	denseIdle  int
@@ -98,8 +98,8 @@ type PatternLayer interface {
 type ExecMode uint8
 
 const (
-	// ExecAuto probes sparse vs dense per (shape, density) bucket and
-	// freezes the winner (the default).
+	// ExecAuto runs each product on the path sparse.Xover picks for the
+	// layer's density (the default).
 	ExecAuto ExecMode = iota
 	// ExecSparse always runs the CSR kernels.
 	ExecSparse
@@ -108,8 +108,9 @@ const (
 )
 
 // denseDropAfter is how many consecutive sparse-path products release the
-// masked-dense copy: once the relevant buckets freeze sparse, the dense
-// tensor is dead weight exactly where SAMO wants memory back.
+// masked-dense copy: a layer that stops taking the dense path (forward-only
+// serving after training, or a changed Exec) holds a dead tensor exactly
+// where SAMO wants memory back.
 const denseDropAfter = 16
 
 // NewSparseLinear materializes the layer from a dense (in, out) weight and
@@ -175,14 +176,14 @@ type sparseLinearCache struct{ x *tensor.Tensor }
 var sparseLinearCaches parallel.Pool[sparseLinearCache]
 
 // decide resolves the execution path for one product of this layer.
-func (l *SparseLinear) decide(op sparse.XoverOp, m, k, n int) (*sparse.XoverEntry, sparse.XoverChoice, bool) {
+func (l *SparseLinear) decide(op sparse.XoverOp) sparse.XoverChoice {
 	switch l.Exec {
 	case ExecSparse:
-		return nil, sparse.XoverSparse, false
+		return sparse.XoverSparse
 	case ExecDense:
-		return nil, sparse.XoverDense, false
+		return sparse.XoverDense
 	}
-	return sparse.XoverDecide(op, m, k, n, l.W.NNZ(), l.in*l.out)
+	return sparse.Xover(op, l.W.NNZ(), l.in*l.out)
 }
 
 // noteUse tracks dense-copy liveness: sparse-path products age it out.
@@ -227,18 +228,12 @@ func (l *SparseLinear) Forward(a *tensor.Arena, x *tensor.Tensor, train bool) (*
 	n := x.Dim(0)
 	y := a.Get(n, l.out)
 	// A fresh flag may only ever be set by THIS microbatch's forward: an
-	// optimizer step may have run since the flag was last set (e.g. when a
-	// probing backward took the sparse path and never consumed it), so the
-	// copy it describes can hold pre-step weights.
+	// optimizer step may have run since the flag was last set (a training
+	// forward whose backward never ran leaves it set), so the copy it
+	// describes can hold pre-step weights.
 	l.denseFresh = false
-	e, ch, probe := l.decide(sparse.XoverOpForward, n, l.in, l.out)
-	if probe {
-		t0 := time.Now()
-		l.runForward(ch, y, x, train)
-		e.Record(ch, time.Since(t0), n*l.in*l.out)
-	} else {
-		l.runForward(ch, y, x, train)
-	}
+	ch := l.decide(sparse.XoverOpForward)
+	l.runForward(ch, y, x, train)
 	l.noteUse(ch)
 	tensor.AddBias(y, l.B.Value)
 	if !train {
@@ -278,14 +273,8 @@ func (l *SparseLinear) Backward(a *tensor.Arena, cache any, gradOut *tensor.Tens
 	tensor.SumRowsInto(l.B.Grad, gradOut, true)
 
 	dx := a.Get(nb, l.in)
-	e, ch, probe := l.decide(sparse.XoverOpBackward, nb, l.out, l.in)
-	if probe {
-		t0 := time.Now()
-		l.runBackward(ch, dx, gradOut)
-		e.Record(ch, time.Since(t0), nb*l.out*l.in)
-	} else {
-		l.runBackward(ch, dx, gradOut)
-	}
+	ch := l.decide(sparse.XoverOpBackward)
+	l.runBackward(ch, dx, gradOut)
 	l.noteUse(ch)
 	c.x = nil
 	sparseLinearCaches.Put(c)
@@ -322,10 +311,9 @@ func (l *SparseLinear) PatternIDs() []int32 { return l.W.LinearIDs() }
 // ShrinkPattern compacts the layer onto the kept pattern positions, in
 // place: W's CSR shrinks, the cached transpose and its refresh permutation
 // are rebuilt inside their existing backing arrays, the masked-dense
-// fallback (which addresses the old pattern) is dropped for the crossover
-// to re-materialize — and re-probe, since the density band changed — and
-// Wv re-heads onto the compacted value prefix so the optimizer state
-// vectors can shrink in lockstep. Weight values are untouched: kept
+// fallback (which addresses the old pattern) is dropped for the next
+// dense-path product to re-materialize, and Wv re-heads onto the compacted
+// value prefix so the optimizer state vectors can shrink in lockstep. Weight values are untouched: kept
 // weights keep their exact bits.
 func (l *SparseLinear) ShrinkPattern(keep []bool) {
 	if len(keep) != l.W.NNZ() {

@@ -175,8 +175,8 @@ func TestSparseLinearSGDTracksMaskedDense(t *testing.T) {
 // path flips: a fresh flag set by one microbatch's dense forward must not
 // let a LATER microbatch's dense backward skip re-materialization after the
 // weights changed — the flag may only be consumed by the same microbatch
-// that set it. (The sequence below is what crossover probing produces when
-// forward and backward buckets flip paths independently.)
+// that set it. (The sequence below flips a layer's Exec between
+// microbatches, as a caller pinning paths may.)
 func TestSparseLinearDenseCopyNeverStale(t *testing.T) {
 	_, sl, _ := sparsePair(10, 8, 0.5, 21)
 	x := tensor.New(4, 10)
@@ -243,33 +243,52 @@ func TestSparsify(t *testing.T) {
 	}
 }
 
-// TestSparseLinearCrossoverProbesAndFreezes drives an auto-mode layer until
-// its forward bucket freezes and checks the decision machinery: probes
-// alternate deterministically, a frozen bucket stops probing, and the
-// masked-dense scratch is dropped after enough sparse-path calls.
+// TestSparseLinearCrossoverProbesAndFreezes drives auto-mode layers through
+// the crossover rule: a 90%-sparse layer runs both products on the CSR
+// kernels and never materializes the masked-dense copy, a 25%-sparse one
+// runs its forward sparse and its input gradient dense — bitwise equal to
+// the pinned paths, on every call — and the masked-dense scratch is
+// dropped after enough sparse-path calls.
 func TestSparseLinearCrossoverProbesAndFreezes(t *testing.T) {
-	sparse.ResetXover()
-	defer sparse.ResetXover()
-	if prev, err := sparse.SetXover("auto"); err != nil {
-		t.Fatal(err)
-	} else {
-		defer sparse.SetXover(prev)
-	}
-	_, sl, _ := sparsePair(32, 24, 0.9, 13)
 	x := tensor.New(16, 32)
 	tensor.FillNormal(x, 1, tensor.NewRNG(14))
 	gy := tensor.New(16, 24)
 	tensor.FillNormal(gy, 1, tensor.NewRNG(15))
-	for i := 0; i < 64; i++ {
-		_, c := sl.Forward(nil, x, true)
-		sl.Backward(nil, c, gy)
+	run := func(sparsity float64, exec ExecMode) (*SparseLinear, []float32, []float32) {
+		_, sl, _ := sparsePair(32, 24, sparsity, 13)
+		sl.Exec = exec
+		var y, dx []float32
+		for i := 0; i < 3; i++ {
+			out, c := sl.Forward(nil, x, true)
+			y = out.Data()
+			dx = sl.Backward(nil, c, gy).Data()
+		}
+		return sl, y, dx
 	}
-	e, _, probe := sparse.XoverDecide(sparse.XoverOpForward, 16, 32, 24, sl.NNZ(), 32*24)
-	if probe {
-		t.Fatal("forward bucket still probing after 64 calls")
+	bitwise := func(what string, got, want []float32) {
+		t.Helper()
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%s differs from the pinned path at %d: %g vs %g", what, i, got[i], want[i])
+			}
+		}
 	}
-	if _, ok := e.Decided(); !ok {
-		t.Fatal("forward bucket not frozen")
+
+	sl, y, dx := run(0.9, ExecAuto)
+	_, ys, dxs := run(0.9, ExecSparse)
+	bitwise("sparsity 0.9 forward", y, ys)
+	bitwise("sparsity 0.9 input gradient", dx, dxs)
+	if sl.denseW != nil {
+		t.Fatal("auto layer at sparsity 0.9 materialized the masked-dense copy")
+	}
+
+	sl, y, dx = run(0.25, ExecAuto)
+	_, ys, _ = run(0.25, ExecSparse)
+	_, _, dxd := run(0.25, ExecDense)
+	bitwise("sparsity 0.25 forward", y, ys)
+	bitwise("sparsity 0.25 input gradient", dx, dxd)
+	if sl.denseW == nil {
+		t.Fatal("auto layer at sparsity 0.25 never took the dense input-gradient path")
 	}
 	// Force the sparse path from here: the dense scratch must age out.
 	sl.Exec = ExecSparse

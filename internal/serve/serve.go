@@ -18,10 +18,11 @@
 // (ceilPow2(MaxBatch)): with the geometry constant, row-value independence
 // is all that is needed, and a sample served among strangers matches the
 // same sample replicated into a batch by itself, bit for bit. PadPow2
-// trades that invariance for less padding compute at light load. (Sparse
-// crossover decisions are the other path-dependent choice; they freeze per
-// shape bucket and persist across processes, so a served model keeps its
-// training run's paths — see sparse.FlushXoverTable.)
+// trades that invariance for less padding compute at light load. (A sparse
+// layer's sparse/dense execution path is the other path-dependent choice;
+// it is a fixed function of the layer's density, sparse.Xover, so a served
+// model runs the same paths as its training run and as every other
+// process.)
 package serve
 
 import (
@@ -32,7 +33,6 @@ import (
 	"time"
 
 	"github.com/sparse-dl/samo/internal/core"
-	"github.com/sparse-dl/samo/internal/sparse"
 	"github.com/sparse-dl/samo/internal/tensor"
 )
 
@@ -55,7 +55,7 @@ const (
 	PadFixed PadPolicy = iota
 	// PadPow2 pads to the next power of two of the gathered count: less
 	// padding compute at light load, but a sample's bits may vary with the
-	// bucket it lands in (different GEMM m-buckets freeze different
+	// bucket it lands in (different GEMM m-buckets use different
 	// accumulation orders).
 	PadPow2
 )
@@ -210,9 +210,8 @@ func (e *Engine) checkShape(x *tensor.Tensor) error {
 }
 
 // Close drains gracefully: admission stops (ErrClosed), every already-
-// queued request is served, the batching loop exits, and the sparse/dense
-// crossover decisions flush to their persisted file so the next process
-// starts warm. Safe to call more than once.
+// queued request is served, and the batching loop exits. It always
+// returns nil. Safe to call more than once.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -224,7 +223,7 @@ func (e *Engine) Close() error {
 	close(e.queue)
 	e.mu.Unlock()
 	<-e.done
-	return sparse.FlushXoverTable()
+	return nil
 }
 
 // Stats returns a snapshot of the engine counters.

@@ -12,7 +12,6 @@ import (
 	"github.com/sparse-dl/samo/internal/nn"
 	"github.com/sparse-dl/samo/internal/optim"
 	"github.com/sparse-dl/samo/internal/prune"
-	"github.com/sparse-dl/samo/internal/sparse"
 	"github.com/sparse-dl/samo/internal/tensor"
 )
 
@@ -160,16 +159,13 @@ func TestServeBitwiseMatchesOffline(t *testing.T) {
 
 // TestServeSparsifiedBitwise extends the golden to sparse execution: a
 // Sparsify'd model served through the engine matches its offline forward
-// with the crossover pinned to each submode (the path choice is the one
-// timing-dependent decision; serving pins it just like training runs do).
+// with every sparse layer pinned to each execution path in turn.
 func TestServeSparsifiedBitwise(t *testing.T) {
-	for _, mode := range []string{"sparse", "dense"} {
-		t.Run(mode, func(t *testing.T) {
-			prev, err := sparse.SetXover(mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sparse.SetXover(prev)
+	for _, tc := range []struct {
+		mode string
+		exec nn.ExecMode
+	}{{"sparse", nn.ExecSparse}, {"dense", nn.ExecDense}} {
+		t.Run(tc.mode, func(t *testing.T) {
 
 			rng := tensor.NewRNG(23)
 			base := nn.BuildMLP("xmlp", []int{16, 32, 6}, rng)
@@ -178,6 +174,11 @@ func TestServeSparsifiedBitwise(t *testing.T) {
 				layers = append(layers, prune.Layer{Name: e.Name, Values: e.Param.Value.Data()})
 			}
 			m := nn.Sparsify(base, prune.MagnitudePerLayer(layers, 0.9))
+			for _, l := range m.Layers {
+				if sl, ok := l.(*nn.SparseLinear); ok {
+					sl.Exec = tc.exec
+				}
+			}
 			samples := make([]*tensor.Tensor, 20)
 			for i := range samples {
 				x := tensor.New(1, 16)

@@ -7,15 +7,17 @@ import (
 	"github.com/sparse-dl/samo/internal/tensor"
 )
 
-// BenchmarkSpMM is the sparse-vs-dense kernel matrix behind the
-// density-aware crossover: the FC forward product y = x·Wᵀ at the paper's
-// batch (576) computed by the dense GEMM over the masked-dense
-// weight versus the transposed-CSR SpMM, across the evaluation's sparsity
-// range. scripts/bench.sh gates the high-sparsity points (≥90%) at
+// BenchmarkSpMM is the sparse-vs-dense kernel matrix of the FC forward
+// product y = x·Wᵀ at the paper's batch (576) computed by the dense GEMM
+// over the masked-dense weight versus the transposed-CSR SpMM, across the
+// evaluation's sparsity range. scripts/bench.sh gates the high-sparsity points (≥90%) at
 // MIN_SPMM_SPEEDUP — the whole premise of first-class sparse execution is
 // that pruned FLOPs convert to time there — and records the full matrix in
-// BENCH_kernels.json; at 50–75% sparsity the dense kernel is allowed to
-// win, which is exactly what the crossover exists to detect.
+// BENCH_kernels.json; at 50–75% sparsity the bare dense kernel is allowed
+// to win. The layer's crossover rule (Xover) still runs the forward sparse
+// there, because the layer's dense path also re-materializes the
+// masked-dense weight on every call; the sweep behind the rule is recorded
+// in CHANGES.md.
 func BenchmarkSpMM(b *testing.B) {
 	const batch = 576
 	for _, dim := range []int{256, 512} {

@@ -124,6 +124,10 @@ func TestCSRShrinkToEmptyThenKernels(t *testing.T) {
 	}
 }
 
+// TestDensityBandAndXoverEmptyPattern pins the crossover rule at its
+// edges: an empty pattern (no division by zero) runs sparse for both
+// products, the forward is always sparse, and the input gradient switches
+// to dense exactly when more than half of the weights are kept.
 func TestDensityBandAndXoverEmptyPattern(t *testing.T) {
 	if got := densityBand(0, 1024); got != 0 {
 		t.Fatalf("densityBand(0, 1024) = %d, want 0 (no division by zero)", got)
@@ -131,9 +135,30 @@ func TestDensityBandAndXoverEmptyPattern(t *testing.T) {
 	if got := densityBand(0, 0); got != 0 {
 		t.Fatalf("densityBand(0, 0) = %d, want 0", got)
 	}
-	e, c, probe := XoverDecide(XoverOpForward, 8, 8, 8, 0, 64)
-	if e != nil || c != XoverSparse || probe {
-		t.Fatalf("XoverDecide(nnz=0) = (%v, %v, %v), want (nil, sparse, false)", e, c, probe)
+	for _, tc := range []struct {
+		op        XoverOp
+		nnz, full int
+		want      XoverChoice
+	}{
+		{XoverOpForward, 0, 64, XoverSparse},
+		{XoverOpBackward, 0, 64, XoverSparse},
+		{XoverOpBackward, 0, 0, XoverSparse},
+		{XoverOpForward, 64, 64, XoverSparse},
+		{XoverOpForward, 48, 64, XoverSparse},
+		{XoverOpForward, 1, 64, XoverSparse},
+		{XoverOpBackward, 64, 64, XoverDense},  // unpruned
+		{XoverOpBackward, 48, 64, XoverDense},  // density 0.75
+		{XoverOpBackward, 33, 64, XoverDense},  // just above half
+		{XoverOpBackward, 32, 64, XoverSparse}, // exactly half
+		{XoverOpBackward, 31, 64, XoverSparse},
+		{XoverOpBackward, 6, 64, XoverSparse}, // density 0.1
+		{XoverOpBackward, 1, 64, XoverSparse},
+		{XoverOpBackward, 500001, 1000000, XoverDense},
+		{XoverOpBackward, 500000, 1000001, XoverSparse},
+	} {
+		if got := Xover(tc.op, tc.nnz, tc.full); got != tc.want {
+			t.Errorf("Xover(%d, nnz=%d, full=%d) = %v, want %v", tc.op, tc.nnz, tc.full, got, tc.want)
+		}
 	}
 }
 

@@ -46,8 +46,8 @@ func ResetTuneTable() {}
 // GEMM is far faster than sparse kernels at DL sparsities, so θ16 stays
 // dense. On amd64 with AVX2 its register-blocked micro-kernel runs as
 // assembly (see the package doc), and so does the transposed SpMM in
-// package sparse, so the measured sparse/dense crossover compares vector
-// kernels on both sides.
+// package sparse, so the sparse/dense crossover rule was measured with
+// vector kernels on both sides.
 func MatMul(a, b *Tensor) *Tensor {
 	m, k, n := gemmDims(a, b)
 	c := New(m, n)

@@ -10,8 +10,7 @@ package tensor
 var useAVX2 = cpuHasAVX2()
 
 // KernelSet names the dense kernel set this process runs: "avx2" or
-// "generic". Results are identical under either; timings are not, so
-// persisted timing decisions (the sparse/dense crossover table) record it.
+// "generic". Results are identical under either; timings are not.
 func KernelSet() string {
 	if useAVX2 {
 		return "avx2"

@@ -77,21 +77,17 @@
 // contract (pinned by determinism goldens and the FuzzSpMMInto/
 // FuzzSpMMTInto/FuzzSDDMMInto targets).
 //
-// Because sparse kernels only win above a density-dependent threshold, a
-// density-aware crossover — keyed by (shape bucket, density band) — times sparse against dense-masked execution on the first calls
-// of each bucket and freezes the winner, so low-sparsity layers fall back
-// to the dense GEMM and never regress; a frozen bucket never re-probes
-// (the two paths differ in summation order, so flipping mid-training would
-// perturb results). SAMO_SPARSE_XOVER=sparse|dense pins the path
-// process-wide; scripts/bench.sh gates the ≥90%-sparsity points of the
-// BenchmarkSpMM matrix at MIN_SPMM_SPEEDUP. Frozen crossover decisions
-// persist under the user cache dir (samo/sparse_xover.json;
-// SAMO_SPARSE_XOVER_TABLE overrides the path, "off" disables) via a
-// debounced background save, startup pre-load and corrupt-file
-// quarantine — so a serving
-// process inherits its training run's execution paths instead of spending
-// its first requests probing; FlushXoverTable persists synchronously at
-// cmd exit.
+// Because sparse kernels only win above a density-dependent threshold, each
+// product follows a fixed sparse/dense crossover rule of the layer's
+// density: the forward always runs the CSR kernel, and the input gradient
+// of a layer keeping more than half its weights runs the dense GEMM over a
+// masked-dense copy, where the GEMM is faster. The rule is a pure function
+// of (product, nnz, dense size), measured once on the AVX2 kernels and
+// recorded in CHANGES.md, so Sparsify'd training and serving are bitwise
+// reproducible from run to run, from process to process and across amd64
+// machines. nn.SparseLinear's Exec field pins a layer to either path;
+// scripts/bench.sh gates the ≥90%-sparsity points of the BenchmarkSpMM
+// matrix at MIN_SPMM_SPEEDUP.
 //
 // # Serving
 //
@@ -112,8 +108,7 @@
 // cmd/samo-serve puts it behind dynamic micro-batching (internal/serve):
 // concurrent single-sample requests gather into padded power-of-two
 // batches, a bounded admission queue converts overload into immediate
-// backpressure (ErrOverloaded), and Close drains gracefully and flushes
-// the crossover table. The engine's
+// backpressure (ErrOverloaded), and Close drains gracefully. The engine's
 // determinism contract is batch-composition independence — under the
 // default fixed-bucket padding a response's bits depend only on the
 // sample, never on the traffic sharing its batch — and its load-test
@@ -252,7 +247,6 @@ import (
 	"github.com/sparse-dl/samo/internal/optim"
 	"github.com/sparse-dl/samo/internal/prune"
 	"github.com/sparse-dl/samo/internal/simulate"
-	"github.com/sparse-dl/samo/internal/sparse"
 	"github.com/sparse-dl/samo/internal/tensor"
 )
 
@@ -332,17 +326,6 @@ func NewRNG(seed uint64) *RNG { return tensor.NewRNG(seed) }
 // count (work partitioning is static and reductions are single-owner).
 func SetWorkers(n int) int { return tensor.SetWorkers(n) }
 
-// FlushXoverTable synchronously persists the sparse/dense crossover
-// decisions frozen in this process to the default table path
-// (SAMO_SPARSE_XOVER_TABLE, or samo/sparse_xover.json under the user cache
-// dir). The background saver debounces writes and cannot run at process
-// exit, so short-lived programs — the cmds call this as they return from
-// run() — would otherwise lose them. A process that froze nothing new
-// writes nothing. The two crossover paths are not bitwise identical, so
-// persistence also pins execution paths across processes: a model served
-// tomorrow runs the paths it trained on today.
-func FlushXoverTable() error { return sparse.FlushXoverTable() }
-
 // NewTensor returns a zero-filled tensor with the given shape.
 func NewTensor(shape ...int) *Tensor { return tensor.New(shape...) }
 
@@ -411,19 +394,11 @@ func NewGradualPruner(s *State, sched PruneSchedule) (*GradualPruner, error) {
 // Sparsify replaces every pruned Linear layer of a model with a
 // first-class sparse-execution layer (nn.SparseLinear): CSR weights, SpMM
 // forward, SDDMM weight gradient restricted to the surviving pattern, and
-// a density-aware crossover that falls back to the masked-dense GEMM where
-// sparse kernels would lose. Unconverted layers are shared with the
-// original model — train one model or the other, not both. Pin the
-// execution path per process with SAMO_SPARSE_XOVER=sparse|dense when
-// bitwise reproducibility across machines matters more than speed.
+// the fixed density-aware crossover rule that computes the input gradient
+// of a layer keeping more than half its weights on the masked-dense GEMM,
+// where sparse kernels would lose. Unconverted layers are shared with the
+// original model — train one model or the other, not both.
 func Sparsify(m *Model, pr *PruneResult) *Model { return nn.Sparsify(m, pr) }
-
-// SetSparseCompute pins every sparse-layer execution decision to "sparse"
-// or "dense", or restores per-bucket probing with "auto", returning the
-// previous mode. Pinning gives machine-independent numerics (the crossover
-// otherwise freezes whichever path times faster here) and probe-free
-// timings; SAMO_SPARSE_XOVER sets the initial mode.
-func SetSparseCompute(mode string) (prev string, err error) { return sparse.SetXover(mode) }
 
 // EarlyBird is the convergence-tested pruning algorithm the paper uses
 // (You et al., ICLR 2020). Call Observe(model) after each training epoch;
