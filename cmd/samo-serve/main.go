@@ -84,8 +84,29 @@ func run(args []string, out io.Writer) error {
 		}
 		return samo.NewGPT(gptCfg, samo.NewRNG(1))
 	}
-	if *modelKind != "gpt" && *modelKind != "mlp" {
+	// Validate before anything is built: bad values would otherwise panic
+	// in the layers or the pruner, or fail later with an unrelated error.
+	switch *modelKind {
+	case "gpt":
+		if err := gptCfg.Validate(); err != nil {
+			return fmt.Errorf("samo-serve: %w", err)
+		}
+	case "mlp":
+		if *hidden < 1 {
+			return fmt.Errorf("samo-serve: -hidden %d: want ≥ 1", *hidden)
+		}
+	default:
 		return fmt.Errorf("samo-serve: -model %q: want gpt or mlp", *modelKind)
+	}
+	if *useSAMO && (*sparsity < 0 || *sparsity >= 1) {
+		return fmt.Errorf("samo-serve: -sparsity %g outside [0,1)", *sparsity)
+	}
+	if *trainIters < 0 {
+		return fmt.Errorf("samo-serve: -train-iters %d: want ≥ 0", *trainIters)
+	}
+	if *requests < 1 || *concurrency < 1 || *maxBatch < 1 {
+		return fmt.Errorf("samo-serve: -requests %d, -concurrency %d and -max-batch %d must be ≥ 1",
+			*requests, *concurrency, *maxBatch)
 	}
 
 	var pr *samo.PruneResult

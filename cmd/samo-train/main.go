@@ -67,6 +67,14 @@ func run(args []string, out io.Writer) error {
 
 	cfg := samo.GPTConfig{Name: "cli", Layers: *layers, Hidden: *hidden,
 		Heads: 4, Seq: 12, Vocab: 48}
+	// Validate the model and layout before anything is built from them:
+	// bad values would otherwise panic in the layers or the batcher.
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if *ginter < 1 || *gdata < 1 || *iters < 0 {
+		return fmt.Errorf("-ginter %d and -gdata %d must be ≥ 1, -iters %d ≥ 0", *ginter, *gdata, *iters)
+	}
 	build := func() *samo.Model { return samo.NewGPT(cfg, samo.NewRNG(1)) }
 
 	var ticket *samo.PruneResult

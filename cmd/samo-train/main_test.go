@@ -51,6 +51,32 @@ func TestRunRejectsBadLayout(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadModelFlags pins that model and layout flags are checked
+// before anything is built, each with an error naming the flag: a bad
+// -gdata, -hidden or -layers used to panic (in the batcher, in the
+// attention layer, or on every rank) or train a model nobody asked for.
+func TestRunRejectsBadModelFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-gdata", "-1"}, "-gdata -1"},
+		{[]string{"-gdata", "0"}, "-gdata 0"},
+		{[]string{"-ginter", "0"}, "-ginter 0"},
+		{[]string{"-iters", "-1"}, "-iters -1"},
+		{[]string{"-hidden", "6"}, "not divisible"},
+		{[]string{"-hidden", "0"}, "positive Hidden"},
+		{[]string{"-hidden", "-4"}, "positive Hidden"},
+		{[]string{"-layers", "-1"}, "Layers ≥ 0"},
+	} {
+		var buf strings.Builder
+		err := run(append([]string{"-iters", "1"}, tc.args...), &buf)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v): got error %v, want one mentioning %q", tc.args, err, tc.want)
+		}
+	}
+}
+
 // TestRunCheckpointResume trains half the run, then restarts the command
 // with -resume and the same checkpoint dir: the second invocation must pick
 // up at the saved step and report only the remaining iterations.

@@ -833,12 +833,3 @@ func (w *worker) trainBatch(global Batch) (float64, error) {
 	w.arena.Reset()
 	return w.batchLoss, nil
 }
-
-// Evaluate runs a forward-only pass over the batch on a single rank layout
-// (no parallelism needed for evaluation at test scale) and returns the mean
-// loss. Provided for symmetry with core.Trainer.EvalLoss.
-func Evaluate(model *nn.Model, b Batch) float64 {
-	y, _ := model.Forward(b.Input, false)
-	loss, _ := nn.CrossEntropy(y, b.Targets)
-	return loss
-}

@@ -140,8 +140,8 @@ func TestGradualPruneOverTCPBitwise(t *testing.T) {
 }
 
 // sparseMLPBuilder builds the test MLP with its Linears replaced by
-// first-class SparseLinear layers on the pinned sparse kernels, so the
-// engine's prune events exercise the in-place CSR pattern shrink.
+// first-class SparseLinear layers, so the engine's prune events exercise
+// the in-place CSR pattern shrink.
 func sparseMLPBuilder(seed uint64, sparsity float64) Builder {
 	return func() *nn.Model {
 		m := nn.BuildMLP("mlp", []int{inDim, 10, 8, classes}, tensor.NewRNG(seed))
@@ -150,13 +150,7 @@ func sparseMLPBuilder(seed uint64, sparsity float64) Builder {
 			layers = append(layers, prune.Layer{Name: e.Name, Values: e.Param.Value.Data()})
 		}
 		pr := prune.MagnitudePerLayer(layers, sparsity)
-		sm := nn.Sparsify(m, pr)
-		for _, l := range sm.Layers {
-			if sl, ok := l.(*nn.SparseLinear); ok {
-				sl.Exec = nn.ExecSparse
-			}
-		}
-		return sm
+		return nn.Sparsify(m, pr)
 	}
 }
 

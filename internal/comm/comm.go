@@ -16,101 +16,28 @@ package comm
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/sparse-dl/samo/internal/parallel"
 )
 
-// bufPool recycles collective chunk buffers. Buffers are handed from
-// sender to receiver zero-copy; the receiver returns them here after
-// folding the payload in, so steady-state collectives allocate nothing.
-// The pool is shared across the ranks of ONE Fabric (buffers migrate
-// between that fabric's goroutines by design) but scoped to the Fabric,
-// not the process: experiment sweeps create many fabrics with many
-// distinct buffer sizes, and a process-wide pool retained every one of
-// them forever. A fabric's pool dies with the fabric.
-//
-// Buffers live in power-of-two capacity classes and are reused for any
-// request the capacity covers (getBuf reslices), so nearly-equal sizes —
-// ring chunk boundaries differ by one element across ranks — share
-// buffers instead of each pinning their own. Total retained capacity is
-// bounded; Put drops buffers beyond the bound and lets the GC take them.
-type bufPool struct {
-	mu       sync.Mutex
-	byClass  [bufClasses][][]float32
-	retained int64 // total float32 capacity currently pooled
-}
-
-const (
-	// bufClasses covers every representable capacity (class = ceil-log2,
-	// at most 63 for an int length); class i holds buffers with cap in
-	// (2^(i-1), 2^i].
-	bufClasses = 64
-	// maxPoolFloats bounds a fabric pool's retained capacity (4 MiB of
-	// float32s). A G-rank ring collective keeps at most a few chunks in
-	// flight per rank, so steady state sits far below the bound; the bound
-	// only bites when a sweep pushes many distinct large sizes through one
-	// fabric. An EMPTY class may retain one buffer past the bound — a
-	// chunk bigger than the whole budget must still round-trip through
-	// the pool, or every ring step of a large model would allocate.
-	maxPoolFloats = 1 << 20
-)
-
-// bufClass returns the class index whose buffers can hold n floats:
-// ceil(log2(n)).
-func bufClass(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return bits.Len(uint(n - 1))
-}
-
-func (p *bufPool) get(n int) []float32 {
-	if n == 0 {
-		return nil
-	}
-	c := bufClass(n)
-	p.mu.Lock()
-	if list := p.byClass[c]; len(list) > 0 {
-		b := list[len(list)-1]
-		p.byClass[c] = list[:len(list)-1]
-		p.retained -= int64(cap(b))
-		p.mu.Unlock()
-		return b[:n]
-	}
-	p.mu.Unlock()
-	// Allocate the full class capacity so the buffer is reusable for every
-	// size in its class.
-	b := make([]float32, 1<<c)
-	return b[:n]
-}
-
-func (p *bufPool) put(b []float32) {
-	if cap(b) == 0 {
-		return
-	}
-	c := bufClass(cap(b))
-	if 1<<c != cap(b) {
-		return // not class-aligned (foreign buffer): don't pool it
-	}
-	p.mu.Lock()
-	if len(p.byClass[c]) > 0 && p.retained+int64(cap(b)) > maxPoolFloats {
-		p.mu.Unlock() // over budget and class already served: drop for GC
-		return
-	}
-	p.retained += int64(cap(b))
-	p.byClass[c] = append(p.byClass[c], b)
-	p.mu.Unlock()
-}
+// maxPoolFloats bounds a fabric's collective buffer pool (4 MiB of
+// float32s). The pool recycles chunk buffers, handed from sender to
+// receiver zero-copy and returned by the receiver after folding the
+// payload in, so steady-state collectives allocate nothing. It is shared by
+// the ranks of ONE Fabric but scoped to it, not the process: experiment
+// sweeps create many fabrics with many distinct buffer sizes, and a
+// process-wide pool retained every one of them forever. A G-rank ring
+// collective keeps at most a few chunks in flight per rank, so steady
+// state sits far below the bound; it only bites when a sweep pushes many
+// distinct large sizes through one fabric.
+const maxPoolFloats = 1 << 20
 
 // PooledBytes returns the bytes currently retained by the fabric's
-// collective buffer pool (bounded by design; see bufPool).
-func (f *Fabric) PooledBytes() int64 {
-	f.bufs.mu.Lock()
-	defer f.bufs.mu.Unlock()
-	return f.bufs.retained * 4
-}
+// collective buffer pool (bounded by maxPoolFloats).
+func (f *Fabric) PooledBytes() int64 { return f.bufs.Retained() * 4 }
 
 // Tag classifies data-plane messages so the engine can dispatch them.
 type Tag int
@@ -159,7 +86,7 @@ type Fabric struct {
 	tr     Transport
 	remote bool // any rank not local to this process
 	stats  []Stats
-	bufs   bufPool
+	bufs   parallel.ClassPool[float32]
 
 	// Poison state: one-way, first error wins (fault.go).
 	poisonOnce sync.Once
@@ -202,6 +129,7 @@ func NewFabricOver(tr Transport) *Fabric {
 		stats:    make([]Stats, n),
 		poisonCh: make(chan struct{}),
 	}
+	f.bufs.Max = maxPoolFloats
 	for r := 0; r < n; r++ {
 		if !tr.IsLocal(r) {
 			f.remote = true
@@ -392,11 +320,6 @@ func (rk *Rank) deliver(to int, msg Message) error {
 	return rk.f.tr.SendData(to, msg)
 }
 
-// Inbox returns the data-plane receive channel: the heart of message-driven
-// scheduling. The engine blocks on it and processes whatever arrives.
-// Prefer Recv, which also unwinds on fabric poison and deadline.
-func (rk *Rank) Inbox() <-chan Message { return rk.f.tr.DataCh(rk.r) }
-
 // Recv blocks for the next data-plane message. It returns the poison error
 // as soon as the fabric dies (messages already queued are not drained), and
 // trips the deadline detector when one is configured.
@@ -488,7 +411,6 @@ const (
 	opAllReduce = 1 << 20
 	opGather    = 2 << 20
 	opBcast     = 3 << 20
-	opBarrier   = 4 << 20
 	opRS        = 5 << 20
 	opAG        = 6 << 20
 )
@@ -528,7 +450,7 @@ func (rk *Rank) allReduce(group []int, buf []float32) error {
 		sendChunk := (pos - s + g) % g
 		recvChunk := (pos - s - 1 + g) % g
 		lo, hi := bounds[sendChunk], bounds[sendChunk+1]
-		out := rk.f.bufs.get(hi - lo)
+		out := rk.f.bufs.Get(hi - lo)
 		copy(out, buf[lo:hi])
 		if err := rk.sendColl(next, opAllReduce+s, out); err != nil {
 			return err
@@ -542,14 +464,14 @@ func (rk *Rank) allReduce(group []int, buf []float32) error {
 		for i := range in {
 			buf[lo+i] += in[i]
 		}
-		rk.f.bufs.put(in)
+		rk.f.bufs.Put(in)
 	}
 	// All-gather: circulate the finished chunks.
 	for s := 0; s < g-1; s++ {
 		sendChunk := (pos + 1 - s + g) % g
 		recvChunk := (pos - s + g) % g
 		lo, hi := bounds[sendChunk], bounds[sendChunk+1]
-		out := rk.f.bufs.get(hi - lo)
+		out := rk.f.bufs.Get(hi - lo)
 		copy(out, buf[lo:hi])
 		if err := rk.sendColl(next, opAllReduce+1000+s, out); err != nil {
 			return err
@@ -561,7 +483,7 @@ func (rk *Rank) allReduce(group []int, buf []float32) error {
 		lo, hi = bounds[recvChunk], bounds[recvChunk+1]
 		rk.f.stats[rk.r].CollElements.Add(int64(hi - lo))
 		copy(buf[lo:hi], in)
-		rk.f.bufs.put(in)
+		rk.f.bufs.Put(in)
 	}
 	return nil
 }
@@ -600,10 +522,10 @@ func (rk *Rank) allReduceOrdered(group []int, buf []float32) error {
 			for j := range buf {
 				buf[j] += in[j]
 			}
-			rk.f.bufs.put(in)
+			rk.f.bufs.Put(in)
 		}
 	} else {
-		out := rk.f.bufs.get(len(buf))
+		out := rk.f.bufs.Get(len(buf))
 		copy(out, buf)
 		if err := rk.sendColl(root, opGather+pos, out); err != nil {
 			return err
@@ -643,7 +565,7 @@ func (rk *Rank) broadcast(group []int, root int, buf []float32) error {
 			if i == rootPos {
 				continue
 			}
-			out := rk.f.bufs.get(len(buf))
+			out := rk.f.bufs.Get(len(buf))
 			copy(out, buf)
 			if err := rk.sendColl(g, opBcast+i, out); err != nil {
 				return err
@@ -656,7 +578,7 @@ func (rk *Rank) broadcast(group []int, root int, buf []float32) error {
 		}
 		rk.f.stats[rk.r].CollElements.Add(int64(len(in)))
 		copy(buf, in)
-		rk.f.bufs.put(in)
+		rk.f.bufs.Put(in)
 	}
 	return nil
 }
@@ -691,7 +613,7 @@ func (rk *Rank) reduceScatter(group []int, buf []float32) ([]float32, error) {
 		sendChunk := (pos - s - 1 + 2*g) % g
 		recvChunk := (pos - s - 2 + 2*g) % g
 		lo, hi := bounds[sendChunk], bounds[sendChunk+1]
-		out := rk.f.bufs.get(hi - lo)
+		out := rk.f.bufs.Get(hi - lo)
 		copy(out, buf[lo:hi])
 		if err := rk.sendColl(next, opRS+s, out); err != nil {
 			return nil, err
@@ -705,7 +627,7 @@ func (rk *Rank) reduceScatter(group []int, buf []float32) ([]float32, error) {
 		for i := range in {
 			buf[lo+i] += in[i]
 		}
-		rk.f.bufs.put(in)
+		rk.f.bufs.Put(in)
 	}
 	own := pos
 	lo, hi := bounds[own], bounds[own+1]
@@ -742,7 +664,7 @@ func (rk *Rank) allGather(group []int, chunk []float32, total int) ([]float32, e
 	cur := pos
 	for s := 0; s < g-1; s++ {
 		clo, chi := bounds[cur], bounds[cur+1]
-		out := rk.f.bufs.get(chi - clo)
+		out := rk.f.bufs.Get(chi - clo)
 		copy(out, full[clo:chi])
 		if err := rk.sendColl(next, opAG+s, out); err != nil {
 			return nil, err
@@ -755,7 +677,7 @@ func (rk *Rank) allGather(group []int, chunk []float32, total int) ([]float32, e
 		clo, chi = bounds[cur], bounds[cur+1]
 		rk.f.stats[rk.r].CollElements.Add(int64(chi - clo))
 		copy(full[clo:chi], in)
-		rk.f.bufs.put(in)
+		rk.f.bufs.Put(in)
 	}
 	return full, nil
 }

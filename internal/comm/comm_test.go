@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/sparse-dl/samo/internal/parallel"
 	"github.com/sparse-dl/samo/internal/tensor"
 )
 
@@ -341,22 +342,22 @@ func TestBufferPoolCapacityReuse(t *testing.T) {
 	// Nearly-equal sizes must share buffers (power-of-two classes), not
 	// each pin their own: after cycling sizes 1000..1007 the pool holds at
 	// most one 1024-class buffer, where the old exact-size map kept eight.
-	var p bufPool
+	p := &parallel.ClassPool[float32]{Max: maxPoolFloats}
 	for sz := 1000; sz < 1008; sz++ {
-		b := p.get(sz)
+		b := p.Get(sz)
 		if len(b) != sz {
-			t.Fatalf("get(%d) returned len %d", sz, len(b))
+			t.Fatalf("Get(%d) returned len %d", sz, len(b))
 		}
-		p.put(b)
+		p.Put(b)
 	}
-	if p.retained != 1024 {
-		t.Fatalf("pool retains %d floats after same-class cycling, want 1024", p.retained)
+	if got := p.Retained(); got != 1024 {
+		t.Fatalf("pool retains %d floats after same-class cycling, want 1024", got)
 	}
 	// And the retained buffer satisfies any size in its class without
 	// allocating a new one.
-	b := p.get(1024)
-	if p.retained != 0 {
-		t.Fatalf("pool retains %d floats after get, want 0", p.retained)
+	b := p.Get(1024)
+	if got := p.Retained(); got != 0 {
+		t.Fatalf("pool retains %d floats after Get, want 0", got)
 	}
-	p.put(b)
+	p.Put(b)
 }

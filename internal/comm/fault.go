@@ -153,16 +153,7 @@ func (f *Fabric) Err() error {
 func (f *Fabric) Close() {
 	f.Poison(ErrFabricClosed)
 	f.tr.Close()
-	f.bufs.drain()
-}
-
-func (p *bufPool) drain() {
-	p.mu.Lock()
-	for i := range p.byClass {
-		p.byClass[i] = nil
-	}
-	p.retained = 0
-	p.mu.Unlock()
+	f.bufs.Drain()
 }
 
 // Fail poisons the fabric with a RankFailedError for this rank, carrying

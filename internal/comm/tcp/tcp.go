@@ -30,13 +30,13 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/sparse-dl/samo/internal/comm"
+	"github.com/sparse-dl/samo/internal/parallel"
 )
 
 const (
@@ -50,6 +50,10 @@ const (
 	dialRetryEvery    = 25 * time.Millisecond
 	defaultDialBudget = 15 * time.Second
 	poisonWriteBudget = time.Second
+	// maxPoolBytes bounds the pooled wire buffers: encode and decode
+	// reslice a pooled buffer of the covering capacity class, so
+	// steady-state framing is allocation-free.
+	maxPoolBytes = 8 << 20
 )
 
 // Config describes one process's endpoint of a multi-process fabric.
@@ -95,7 +99,7 @@ type Transport struct {
 	closed     atomic.Bool
 	poisonMu   sync.Mutex
 	poisonSent bool
-	bytes      bytePool
+	bytes      parallel.ClassPool[byte] // wire buffers, bounded by maxPoolBytes
 }
 
 // Connect builds this process's endpoint: it listens on Addrs[Proc], dials
@@ -124,6 +128,7 @@ func Connect(cfg Config) (*Transport, error) {
 		data:   make([]chan comm.Message, cfg.Ranks),
 		coll:   make([]chan comm.CollFrame, cfg.Ranks),
 	}
+	t.bytes.Max = maxPoolBytes
 	for r := t.bounds[cfg.Proc]; r < t.bounds[cfg.Proc+1]; r++ {
 		t.data[r] = make(chan comm.Message, chanDepth)
 		t.coll[r] = make(chan comm.CollFrame, chanDepth)
@@ -370,7 +375,7 @@ func (t *Transport) SendData(to int, m comm.Message) error {
 	}
 	buf := encodeData(&t.bytes, to, m)
 	err := t.writePeer(t.procOf(to), buf)
-	t.bytes.put(buf)
+	t.bytes.Put(buf)
 	return err
 }
 
@@ -389,7 +394,7 @@ func (t *Transport) SendColl(to int, fr comm.CollFrame) error {
 	}
 	buf := encodeColl(&t.bytes, to, fr)
 	err := t.writePeer(t.procOf(to), buf)
-	t.bytes.put(buf)
+	t.bytes.Put(buf)
 	t.f.RecycleWireBuf(fr.Data)
 	return err
 }
@@ -466,7 +471,7 @@ func (t *Transport) sendPoison(err error) {
 		p.out.Write(buf) // best effort: the peer may already be gone
 		p.mu.Unlock()
 	}
-	t.bytes.put(buf)
+	t.bytes.Put(buf)
 }
 
 // Close tears down every connection. Idempotent; called by Fabric.Close
@@ -528,14 +533,14 @@ func (t *Transport) readLoop(proc int, c net.Conn) {
 			t.readFailure(proc, fmt.Errorf("frame length %d out of range", n))
 			return
 		}
-		buf := t.bytes.get(int(n))
+		buf := t.bytes.Get(int(n))
 		if _, err := io.ReadFull(br, buf); err != nil {
-			t.bytes.put(buf)
+			t.bytes.Put(buf)
 			t.readFailure(proc, err)
 			return
 		}
 		ok := t.dispatch(buf)
-		t.bytes.put(buf)
+		t.bytes.Put(buf)
 		if !ok {
 			return
 		}
@@ -593,9 +598,9 @@ func (t *Transport) dispatch(buf []byte) bool {
 //	poison: kind u8 | code u8 | rank i32 | step i32 | timeout i64 |
 //	        msglen u32 | msg bytes
 
-func encodeData(p *bytePool, to int, m comm.Message) []byte {
+func encodeData(p *parallel.ClassPool[byte], to int, m comm.Message) []byte {
 	n := 4 + 1 + 5*4 + 4 + 4*len(m.Shape) + 4 + 4*len(m.Data)
-	buf := p.get(n)
+	buf := p.Get(n)
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(n-4))
 	buf[4] = frameData
 	off := 5
@@ -650,9 +655,9 @@ func decodeData(buf []byte) (int, comm.Message, error) {
 	return to, m, nil
 }
 
-func encodeColl(p *bytePool, to int, fr comm.CollFrame) []byte {
+func encodeColl(p *parallel.ClassPool[byte], to int, fr comm.CollFrame) []byte {
 	n := 4 + 1 + 3*4 + 4 + 4*len(fr.Data)
-	buf := p.get(n)
+	buf := p.Get(n)
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(n-4))
 	buf[4] = frameColl
 	off := 5
@@ -702,7 +707,7 @@ const (
 // reconstructs the same type — errors.As on RankFailedError/DeadlineError
 // works across the wire, which is what lets a remote engine's restart
 // loop classify a peer crash as recoverable.
-func encodePoison(p *bytePool, err error) []byte {
+func encodePoison(p *parallel.ClassPool[byte], err error) []byte {
 	code, rank, step := poisonOther, 0, 0
 	var timeout time.Duration
 	var rf *comm.RankFailedError
@@ -720,7 +725,7 @@ func encodePoison(p *bytePool, err error) []byte {
 		msg = err.Error()
 	}
 	n := 4 + 1 + 1 + 4 + 4 + 8 + 4 + len(msg)
-	buf := p.get(n)
+	buf := p.Get(n)
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(n-4))
 	buf[4] = framePoison
 	buf[5] = code
@@ -773,64 +778,4 @@ func getFloats(src []byte, dst []float32) {
 		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[off:]))
 		off += 4
 	}
-}
-
-// --- Wire byte pool ---------------------------------------------------------
-
-// bytePool recycles wire buffers in power-of-two capacity classes,
-// mirroring the fabric's float pool: encode/decode reslices a pooled
-// buffer of the covering class, so steady-state framing is
-// allocation-free. Retained capacity is bounded; put drops beyond it.
-type bytePool struct {
-	mu       sync.Mutex
-	byClass  [bufClasses][][]byte
-	retained int64
-}
-
-const (
-	bufClasses   = 64
-	maxPoolBytes = 8 << 20
-)
-
-func bufClass(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return bits.Len(uint(n - 1))
-}
-
-func (p *bytePool) get(n int) []byte {
-	if n == 0 {
-		return nil
-	}
-	c := bufClass(n)
-	p.mu.Lock()
-	if list := p.byClass[c]; len(list) > 0 {
-		b := list[len(list)-1]
-		p.byClass[c] = list[:len(list)-1]
-		p.retained -= int64(cap(b))
-		p.mu.Unlock()
-		return b[:n]
-	}
-	p.mu.Unlock()
-	b := make([]byte, 1<<c)
-	return b[:n]
-}
-
-func (p *bytePool) put(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	c := bufClass(cap(b))
-	if 1<<c != cap(b) {
-		return
-	}
-	p.mu.Lock()
-	if len(p.byClass[c]) > 0 && p.retained+int64(cap(b)) > maxPoolBytes {
-		p.mu.Unlock()
-		return
-	}
-	p.retained += int64(cap(b))
-	p.byClass[c] = append(p.byClass[c], b)
-	p.mu.Unlock()
 }

@@ -196,7 +196,7 @@ func TestGradualPruneGlobalPooledTarget(t *testing.T) {
 // gradient rides the cached transpose refreshed by ShrinkPattern — keeps
 // reducing the loss afterwards.
 func TestGradualPruneSparseExecLayers(t *testing.T) {
-	sm, ms := buildSparseExecSetup(nn.ExecSparse, 0.5, 54)
+	sm, ms := buildSparseExecSetup(0.5, 54)
 	gp, err := NewGradualPruner(ms, testSchedule())
 	if err != nil {
 		t.Fatal(err)

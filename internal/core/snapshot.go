@@ -85,7 +85,16 @@ func (ms *ModelState) Save(w io.Writer) (int64, error) {
 		if err := putFloats(bw, st.theta32); err != nil {
 			return 0, err
 		}
+		// A parameter the optimizer has not stepped yet has no state
+		// vectors: save the zero vectors it starts from, so a checkpoint
+		// taken before the first step loads like any other.
 		opt := ms.opt.States(st.p.Name)
+		if opt == nil {
+			zero := make([]float32, len(st.theta32))
+			for range ms.opt.StateBytesPerParam() / 4 {
+				opt = append(opt, zero)
+			}
+		}
 		if err := put(uint32(len(opt))); err != nil {
 			return 0, err
 		}

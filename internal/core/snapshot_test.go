@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -162,6 +163,35 @@ func TestCheckpointFreshStateLoad(t *testing.T) {
 	for i := range pa {
 		if d := tensor.MaxAbsDiff(pa[i].Value, pb[i].Value); d != 0 {
 			t.Errorf("param %s differs by %g", pa[i].Name, d)
+		}
+	}
+}
+
+// TestCheckpointBeforeFirstStep saves a state the optimizer has never
+// stepped (no moment vectors yet): the checkpoint must load into a fresh
+// training state, which then trains bitwise like the original, and into
+// the forward-only state.
+func TestCheckpointBeforeFirstStep(t *testing.T) {
+	_, msA, _ := buildTestSetup(SAMO, 0.6, 89)
+	var buf bytes.Buffer
+	if _, err := msA.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	_, msB, _ := buildTestSetup(SAMO, 0.6, 89)
+	if err := msB.Load(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("Load into a training state: %v", err)
+	}
+	_, inf := buildInferSetup(SAMO, 0.6, 89)
+	if err := inf.Load(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("Load into an inference state: %v", err)
+	}
+	trA, trB := NewTrainer(msA), NewTrainer(msB)
+	for step := 0; step < 3; step++ {
+		x, tg := makeBatch(6, 8, 4, uint64(5100+step))
+		la, _ := trA.TrainStep(x, tg)
+		lb, _ := trB.TrainStep(x, tg)
+		if math.Float64bits(la) != math.Float64bits(lb) {
+			t.Fatalf("step %d: loss %v after loading differs from %v", step, lb, la)
 		}
 	}
 }

@@ -13,10 +13,9 @@ import (
 )
 
 // buildSparseExecSetup prunes an MLP and replaces its Linears with
-// first-class SparseLinear layers pinned to the given execution path,
-// wrapped in a SAMO-mode ModelState — the sparse-execution training stack
-// end to end.
-func buildSparseExecSetup(exec nn.ExecMode, sparsity float64, seed uint64) (*nn.Model, *ModelState) {
+// first-class SparseLinear layers, wrapped in a SAMO-mode ModelState — the
+// sparse-execution training stack end to end.
+func buildSparseExecSetup(sparsity float64, seed uint64) (*nn.Model, *ModelState) {
 	rng := tensor.NewRNG(seed)
 	m := nn.BuildMLP("smlp", []int{16, 32, 8}, rng)
 	var layers []prune.Layer
@@ -25,11 +24,6 @@ func buildSparseExecSetup(exec nn.ExecMode, sparsity float64, seed uint64) (*nn.
 	}
 	pr := prune.MagnitudePerLayer(layers, sparsity)
 	sm := nn.Sparsify(m, pr)
-	for _, l := range sm.Layers {
-		if sl, ok := l.(*nn.SparseLinear); ok {
-			sl.Exec = exec
-		}
-	}
 	return sm, NewModelState(sm, optim.NewAdam(0.01), SAMO, pr)
 }
 
@@ -37,36 +31,36 @@ func buildSparseExecSetup(exec nn.ExecMode, sparsity float64, seed uint64) (*nn.
 // contract: a full pruned-model TrainStep over SparseLinear layers — CSR
 // forward, SDDMM weight gradient, transposed-CSR input gradient, rank-1
 // weight-vector capture and optimizer step — runs at zero steady-state
-// allocations, on both execution paths (the dense fallback materializes its
-// masked-dense scratch once, then stays allocation-free).
+// allocations, on both input-gradient paths: the CSR kernel at sparsity 0.9
+// and, at 0.25, the dense GEMM over the weight expanded into arena scratch.
 func TestSparseExecTrainStepZeroAlloc(t *testing.T) {
-	for _, exec := range []nn.ExecMode{nn.ExecSparse, nn.ExecDense} {
-		_, ms := buildSparseExecSetup(exec, 0.9, 17)
+	for _, sparsity := range []float64{0.9, 0.25} {
+		_, ms := buildSparseExecSetup(sparsity, 17)
 		tr := NewTrainer(ms)
 		x, targets := makeBatch(16, 16, 8, 18)
 		for i := 0; i < 3; i++ {
 			tr.TrainStep(x, targets)
 		}
 		if a := testing.AllocsPerRun(30, func() { tr.TrainStep(x, targets) }); a != 0 {
-			t.Errorf("exec=%d: sparse TrainStep allocates %.1f per step, want 0", exec, a)
+			t.Errorf("sparsity %g: sparse TrainStep allocates %.1f per step, want 0", sparsity, a)
 		}
 	}
 }
 
 // TestSparseLinearForwardBackwardZeroAlloc pins the layer in isolation: a
 // steady-state forward+backward pair over the arena — including the cached
-// transpose's value refresh and, on the dense path, the masked-dense
-// re-materialization — allocates nothing. Workers are pinned above one so
-// the pooled parallel dispatch (not the inline fallback) is what is pinned.
+// transpose's value refresh at sparsity 0.9 and the weight's expansion into
+// arena scratch for the dense input gradient at 0.25 — allocates nothing.
+// Workers are pinned above one so the pooled parallel dispatch (not the
+// inline fallback) is what is pinned.
 func TestSparseLinearForwardBackwardZeroAlloc(t *testing.T) {
 	defer tensor.SetWorkers(tensor.SetWorkers(4))
-	for _, exec := range []nn.ExecMode{nn.ExecSparse, nn.ExecDense} {
+	for _, sparsity := range []float64{0.9, 0.25} {
 		rng := tensor.NewRNG(19)
 		dense := nn.NewLinear("fc", 64, 48, rng)
 		pr := prune.MagnitudePerLayer(
-			[]prune.Layer{{Name: "fc.weight", Values: dense.W.Value.Data()}}, 0.9)
+			[]prune.Layer{{Name: "fc.weight", Values: dense.W.Value.Data()}}, sparsity)
 		sl := nn.NewSparseLinear("fc", dense.W.Value, pr.Index("fc.weight"))
-		sl.Exec = exec
 		x := tensor.New(32, 64)
 		tensor.FillNormal(x, 1, rng)
 		arena := tensor.NewArena()
@@ -79,22 +73,20 @@ func TestSparseLinearForwardBackwardZeroAlloc(t *testing.T) {
 			step()
 		}
 		if a := testing.AllocsPerRun(30, step); a != 0 {
-			t.Errorf("exec=%d: SparseLinear forward+backward allocates %.1f per step, want 0", exec, a)
+			t.Errorf("sparsity %g: SparseLinear forward+backward allocates %.1f per step, want 0", sparsity, a)
 		}
 	}
 }
 
 // TestSparseExecTrainStepDeterminism pins the acceptance contract on the
-// whole pruned-model training step: with the execution path pinned,
-// training is
-// bitwise-identical at every worker count — every sparse kernel accumulates
+// whole pruned-model training step: training is bitwise-identical at every worker count — every sparse kernel accumulates
 // in a fixed per-element order, so pool resizing can never perturb results.
 func TestSparseExecTrainStepDeterminism(t *testing.T) {
 	defer tensor.SetWorkers(tensor.SetWorkers(0))
 	var ref []*tensor.Tensor
 	for _, workers := range []int{1, 2, 3, 4, 8, 16} {
 		tensor.SetWorkers(workers)
-		sm, ms := buildSparseExecSetup(nn.ExecSparse, 0.9, 23)
+		sm, ms := buildSparseExecSetup(0.9, 23)
 		tr := NewTrainer(ms)
 		for step := 0; step < 4; step++ {
 			x, targets := makeBatch(12, 16, 8, uint64(300+step))
@@ -121,33 +113,26 @@ func TestSparseExecTrainStepDeterminism(t *testing.T) {
 }
 
 // TestSparseExecAutoReproducible pins run-to-run reproducibility of the
-// default execution mode: the sparse/dense crossover is a fixed rule of
-// each layer's density, so two identical ExecAuto trainings of a
-// Sparsify'd MLP in one process produce the same float64 loss bits at
-// every step. It runs at 50% sparsity, where the rule keeps every product
-// on the CSR kernels (so the run equals the ExecSparse run), and at 25%,
-// where it computes input gradients on the dense GEMM; in both, every
-// layer's forward and input gradient equal those of the layer pinned to
-// the path the rule picks.
+// layer's execution paths: the sparse/dense crossover is a fixed rule of
+// each layer's density, so two identical trainings of a Sparsify'd MLP in
+// one process produce the same float64 loss bits at every step. It runs at
+// 50% sparsity, where the rule keeps every product on the CSR kernels, and
+// at 25%, where it computes input gradients on the dense GEMM; in both,
+// every layer's forward and input gradient equal those of the kernel the
+// rule picks, called directly.
 func TestSparseExecAutoReproducible(t *testing.T) {
 	const batch, in, hidden, classes, steps = 64, 256, 256, 16, 4
-	build := func(sparsity float64, exec nn.ExecMode) (*nn.Model, *prune.Result) {
+	build := func(sparsity float64) (*nn.Model, *prune.Result) {
 		m := nn.BuildMLP("rmlp", []int{in, hidden, hidden, classes}, tensor.NewRNG(41))
 		var layers []prune.Layer
 		for _, e := range m.PruneLayers() {
 			layers = append(layers, prune.Layer{Name: e.Name, Values: e.Param.Value.Data()})
 		}
 		pr := prune.MagnitudePerLayer(layers, sparsity)
-		sm := nn.Sparsify(m, pr)
-		for _, l := range sm.Layers {
-			if sl, ok := l.(*nn.SparseLinear); ok {
-				sl.Exec = exec
-			}
-		}
-		return sm, pr
+		return nn.Sparsify(m, pr), pr
 	}
-	train := func(sparsity float64, exec nn.ExecMode) []uint64 {
-		m, pr := build(sparsity, exec)
+	train := func(sparsity float64) []uint64 {
+		m, pr := build(sparsity)
 		tr := NewTrainer(NewModelState(m, optim.NewAdam(0.01), SAMO, pr))
 		var bits []uint64
 		for step := 0; step < steps; step++ {
@@ -166,39 +151,36 @@ func TestSparseExecAutoReproducible(t *testing.T) {
 		}
 	}
 	for _, sparsity := range []float64{0.5, 0.25} {
-		first := train(sparsity, nn.ExecAuto)
-		sameLoss(fmt.Sprintf("sparsity %.2f, second ExecAuto run", sparsity), first, train(sparsity, nn.ExecAuto))
-		if sparsity == 0.5 {
-			sameLoss("sparsity 0.50, ExecSparse run", first, train(sparsity, nn.ExecSparse))
-		}
+		first := train(sparsity)
+		sameLoss(fmt.Sprintf("sparsity %.2f, second run", sparsity), first, train(sparsity))
 
-		auto, _ := build(sparsity, nn.ExecAuto)
-		sp, _ := build(sparsity, nn.ExecSparse)
-		de, _ := build(sparsity, nn.ExecDense)
-		pinned := map[sparse.XoverChoice]*nn.Model{sparse.XoverSparse: sp, sparse.XoverDense: de}
-		for li, l := range auto.Layers {
+		m, _ := build(sparsity)
+		for li, l := range m.Layers {
 			al, ok := l.(*nn.SparseLinear)
 			if !ok {
 				continue
 			}
-			n, full := al.NNZ(), al.PatternFullLen()
-			fwd := pinned[sparse.Xover(sparse.XoverOpForward, n, full)].Layers[li].(*nn.SparseLinear)
-			bwd := pinned[sparse.Xover(sparse.XoverOpBackward, n, full)].Layers[li].(*nn.SparseLinear)
-			if sparsity == 0.25 && bwd.Exec != nn.ExecDense {
-				t.Fatalf("layer %d: the rule keeps the input gradient sparse at sparsity 0.25", li)
+			dense := sparse.Xover(al.NNZ(), al.PatternFullLen())
+			if dense != (sparsity == 0.25) {
+				t.Fatalf("sparsity %.2f layer %d: the rule runs the input gradient dense = %v", sparsity, li, dense)
 			}
 			x, _ := makeBatch(batch, al.W.Cols, classes, uint64(600+li))
 			gy, _ := makeBatch(batch, al.W.Rows, classes, uint64(700+li))
 			ya, c := al.Forward(nil, x, true)
 			dxa := al.Backward(nil, c, gy)
-			yf, c := fwd.Forward(nil, x, true)
-			fwd.Backward(nil, c, gy)
-			_, c = bwd.Forward(nil, x, true)
-			dxb := bwd.Backward(nil, c, gy)
+			yf := tensor.New(batch, al.W.Rows)
+			al.W.SpMMTInto(yf, x)
+			tensor.AddBias(yf, al.B.Value)
+			dxb := tensor.New(batch, al.W.Cols)
+			if dense {
+				tensor.MatMulInto(dxb, gy, al.W.Dense(), false)
+			} else {
+				al.Wt.SpMMTInto(dxb, gy)
+			}
 			for what, pair := range map[string][2]*tensor.Tensor{"forward": {ya, yf}, "input gradient": {dxa, dxb}} {
 				for i, v := range pair[0].Data() {
 					if math.Float32bits(v) != math.Float32bits(pair[1].Data()[i]) {
-						t.Fatalf("sparsity %.2f layer %d: ExecAuto %s differs from the path the rule picks at %d",
+						t.Fatalf("sparsity %.2f layer %d: %s differs from the path the rule picks at %d",
 							sparsity, li, what, i)
 					}
 				}
@@ -224,11 +206,6 @@ func TestSparseExecMatchesMaskedDenseTraining(t *testing.T) {
 	}
 	pr := prune.MagnitudePerLayer(layers, 0.9)
 	sm := nn.Sparsify(m2, pr)
-	for _, l := range sm.Layers {
-		if sl, ok := l.(*nn.SparseLinear); ok {
-			sl.Exec = nn.ExecSparse
-		}
-	}
 	msS := NewModelState(sm, optim.NewAdam(0.01), SAMO, pr)
 
 	trD, trS := NewTrainer(msD), NewTrainer(msS)
@@ -278,7 +255,7 @@ func TestSparseExecMatchesMaskedDenseTraining(t *testing.T) {
 // keeps θ16 dense only because it computes dense; under sparse execution it
 // compresses too) and the CSR structure is accounted as index bytes.
 func TestSparseExecMemoryLedger(t *testing.T) {
-	sm, ms := buildSparseExecSetup(nn.ExecSparse, 0.9, 31)
+	sm, ms := buildSparseExecSetup(0.9, 31)
 	b := ms.Memory()
 	var nnz, biases int64
 	var meta int64

@@ -65,13 +65,12 @@ type ModelState struct {
 	// the optimizer step (Brown et al.'s recipe uses 1.0).
 	ClipNorm float64
 
-	model    *nn.Model
-	opt      optim.Optimizer
-	states   []*paramState
-	byParam  map[*nn.Param]*paramState
-	overflow bool
-	steps    int
-	skipped  int
+	model   *nn.Model
+	opt     optim.Optimizer
+	states  []*paramState
+	byParam map[*nn.Param]*paramState
+	steps   int
+	skipped int
 
 	// patterns maps each pattern-bearing parameter (e.g. a SparseLinear's
 	// Wv) to the layer owning its shrinkable support, discovered once at

@@ -23,7 +23,8 @@ type SparseExecRow struct {
 // this machine's CPU kernels instead of the calibrated Summit model. It
 // times one FC layer's forward+backward at the paper's pruned sparsities,
 // masked-dense (nn.Linear over weights with zeros) versus first-class
-// sparse execution (nn.SparseLinear pinned to the CSR kernels), and prints
+// sparse execution (nn.SparseLinear, whose crossover rule runs every
+// product on the CSR kernels at these sparsities), and prints
 // the pruned-FLOPs speedup. The expected shape: sparse loses at 50%
 // sparsity — the products roughly tie there, and the weight gradient's
 // SDDMM, still scalar, is slower than the dense GEMM it replaces — and wins
@@ -43,7 +44,6 @@ func SparseExec(w io.Writer) []SparseExecRow {
 			ix := pr.Index("fc.weight")
 			ix.Mask().Apply(dense.W.Value.Data())
 			sl := nn.NewSparseLinear("fc", dense.W.Value, ix)
-			sl.Exec = nn.ExecSparse
 			copy(sl.B.Value.Data(), dense.B.Value.Data())
 
 			x := tensor.New(batch, dim)

@@ -101,28 +101,23 @@ func TestInferMatchesEvalForward(t *testing.T) {
 
 // TestInferSparsifiedMatchesEvalForward extends the golden to sparse
 // execution: a Sparsify'd MLP's inference path must match its own eval
-// forward bitwise at every worker count, with every sparse layer pinned
-// to each execution path in turn.
+// forward bitwise at every worker count, for a sparse model (sparsity
+// 0.9) and a mostly dense one (sparsity 0.25, whose layers take the dense
+// input-gradient path in training).
 func TestInferSparsifiedMatchesEvalForward(t *testing.T) {
 	defer tensor.SetWorkers(tensor.SetWorkers(0))
 	for _, tc := range []struct {
-		mode string
-		exec ExecMode
-	}{{"sparse", ExecSparse}, {"dense", ExecDense}} {
-		t.Run(tc.mode, func(t *testing.T) {
+		name     string
+		sparsity float64
+	}{{"sparse", 0.9}, {"dense", 0.25}} {
+		t.Run(tc.name, func(t *testing.T) {
 			rng := tensor.NewRNG(5)
 			base := BuildMLP("smlp", []int{24, 48, 10}, rng)
 			var layers []prune.Layer
 			for _, e := range base.PruneLayers() {
 				layers = append(layers, prune.Layer{Name: e.Name, Values: e.Param.Value.Data()})
 			}
-			pr := prune.MagnitudePerLayer(layers, 0.9)
-			m := Sparsify(base, pr)
-			for _, l := range m.Layers {
-				if sl, ok := l.(*SparseLinear); ok {
-					sl.Exec = tc.exec
-				}
-			}
+			m := Sparsify(base, prune.MagnitudePerLayer(layers, tc.sparsity))
 			x := tensor.New(6, 24)
 			tensor.FillNormal(x, 1, rng)
 

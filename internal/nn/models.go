@@ -21,6 +21,20 @@ type GPTConfig struct {
 	MaxGPUs   int
 }
 
+// Validate reports why BuildGPT cannot build the config, or nil: every
+// dimension must be positive (Layers may be 0), and Hidden must split
+// evenly across Heads.
+func (c GPTConfig) Validate() error {
+	if c.Layers < 0 || c.Hidden < 1 || c.Heads < 1 || c.Seq < 1 || c.Vocab < 1 {
+		return fmt.Errorf("nn: GPT config needs Layers ≥ 0 and positive Hidden, Heads, Seq, Vocab (got %d, %d, %d, %d, %d)",
+			c.Layers, c.Hidden, c.Heads, c.Seq, c.Vocab)
+	}
+	if c.Hidden%c.Heads != 0 {
+		return fmt.Errorf("nn: GPT hidden size %d not divisible by %d heads", c.Hidden, c.Heads)
+	}
+	return nil
+}
+
 // NumParams returns the parameter count: 12·L·h² for the blocks
 // (QKV 3h², proj h², MLP 8h²), plus LayerNorms, embeddings and the LM head.
 func (c GPTConfig) NumParams() int64 {

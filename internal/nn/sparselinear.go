@@ -13,7 +13,7 @@ import (
 // SparseLinear is a fully connected layer whose pruned weight lives in CSR
 // and whose hot paths run real sparse kernels — the first-class sparse
 // execution path the paper's Figure 1 argues about. Only the surviving
-// weights exist anywhere: the forward pass is the transposed-CSR SpMM
+// weights are stored: the forward pass is the transposed-CSR SpMM
 // y = x·Wᵀ against the (out, in) pattern, the input gradient is the same
 // kernel against a cached Transpose(), and the weight gradient is SDDMM
 // restricted to the pattern — gradient entries for pruned weights are never
@@ -21,21 +21,20 @@ import (
 // optimizer) is sized fφ with no masking step.
 //
 // Because sparse kernels only win above a density-dependent threshold
-// (Hoefler et al. 2021), each product follows the fixed sparse/dense
+// (Hoefler et al. 2021), the input gradient follows the fixed sparse/dense
 // crossover rule (sparse.Xover) of the layer's density: a layer keeping
-// more than half its weights computes its input gradient with a dense GEMM
-// over a lazily materialized masked-dense copy of the weight, while the
-// weight gradient stays SDDMM on either path (the dense-masked weight
-// gradient would materialize exactly the pruned entries this layer exists
-// to avoid). The Exec field pins the choice per layer.
+// more than half its weights expands W into arena scratch on each backward
+// and computes dx with a dense GEMM. The forward always runs the CSR
+// kernel, and the weight gradient stays SDDMM on either path (the
+// dense-masked weight gradient would materialize exactly the pruned
+// entries this layer exists to avoid).
 //
 // The optimizer sees the weight as Wv — a rank-1 parameter of length NNZ
 // whose Value aliases W.Val — so core.ModelState drives it through its
 // ordinary dense-vector path: θ32/∇θ16/∇θ32/os all have length NNZ and the
 // fp16 down-cast writes straight into the CSR values the kernels read. The
-// cached transpose and the dense-masked copy are refreshed from W.Val at
-// use time (weights only change between step boundaries, never between a
-// microbatch's forward and backward).
+// cached transpose and the dense scratch are refreshed from W.Val on every
+// backward, so no copy of the weight can go stale.
 type SparseLinear struct {
 	// W is the primary pattern: (out, in) CSR — row j holds output neuron
 	// j's surviving input weights. Wv.Value aliases W.Val, so optimizer
@@ -50,22 +49,7 @@ type SparseLinear struct {
 	// B is the dense bias.
 	Wv, B *Param
 
-	// Exec pins this layer's execution path (benchmarks, the pure-sparse
-	// baseline); ExecAuto follows the crossover rule.
-	Exec ExecMode
-
 	in, out int
-
-	// Masked-dense fallback state, materialized on the first dense-path
-	// product and dropped again after denseDropAfter consecutive
-	// sparse-path products. denseFresh marks the copy as synced by THIS
-	// microbatch's Forward, letting its Backward skip the O(out·in)
-	// re-materialization (weights cannot change between a microbatch's
-	// forward and backward — only at step boundaries).
-	denseW     *tensor.Tensor // (out, in), zeros at pruned positions
-	denseIx    *sparse.Index  // scatter map: pattern order -> (out, in) view
-	denseIdle  int
-	denseFresh bool
 }
 
 // PatternLayer is a layer whose parameter support can shrink during
@@ -93,25 +77,6 @@ type PatternLayer interface {
 	// prefix.
 	ShrinkPattern(keep []bool)
 }
-
-// ExecMode selects a SparseLinear's execution path.
-type ExecMode uint8
-
-const (
-	// ExecAuto runs each product on the path sparse.Xover picks for the
-	// layer's density (the default).
-	ExecAuto ExecMode = iota
-	// ExecSparse always runs the CSR kernels.
-	ExecSparse
-	// ExecDense always runs the dense GEMM over the masked-dense weight.
-	ExecDense
-)
-
-// denseDropAfter is how many consecutive sparse-path products release the
-// masked-dense copy: a layer that stops taking the dense path (forward-only
-// serving after training, or a changed Exec) holds a dead tensor exactly
-// where SAMO wants memory back.
-const denseDropAfter = 16
 
 // NewSparseLinear materializes the layer from a dense (in, out) weight and
 // a pruning index over its linearized view. Only indexed entries are read;
@@ -175,66 +140,13 @@ type sparseLinearCache struct{ x *tensor.Tensor }
 
 var sparseLinearCaches parallel.Pool[sparseLinearCache]
 
-// decide resolves the execution path for one product of this layer.
-func (l *SparseLinear) decide(op sparse.XoverOp) sparse.XoverChoice {
-	switch l.Exec {
-	case ExecSparse:
-		return sparse.XoverSparse
-	case ExecDense:
-		return sparse.XoverDense
-	}
-	return sparse.Xover(op, l.W.NNZ(), l.in*l.out)
-}
-
-// noteUse tracks dense-copy liveness: sparse-path products age it out.
-func (l *SparseLinear) noteUse(c sparse.XoverChoice) {
-	if c == sparse.XoverDense {
-		l.denseIdle = 0
-		return
-	}
-	if l.denseW != nil {
-		if l.denseIdle++; l.denseIdle >= denseDropAfter {
-			l.denseW, l.denseIx, l.denseFresh = nil, nil, false
-		}
-	}
-}
-
-// syncDense (re)materializes the masked-dense (out, in) weight from the
-// current CSR values: zero-fill plus pattern scatter, both parallel and
-// allocation-free after the first call. fresh=true marks the copy valid
-// for the rest of this microbatch (consumed by Backward).
-func (l *SparseLinear) syncDense(fresh bool) {
-	if l.denseW == nil {
-		l.denseW = tensor.New(l.out, l.in)
-		l.denseIx = sparse.IndexFromSlice(l.W.LinearIDs(), l.out*l.in)
-	}
-	l.denseIx.Expand(l.denseW.Data(), l.W.Val)
-	l.denseFresh = fresh
-}
-
-// syncWt refreshes the cached transpose's values from the primary pattern.
-// Per-backward on purpose: the layer cannot observe optimizer steps, and
-// the O(nnz) gather is ≤1/batch of the O(batch·nnz) product it precedes.
-func (l *SparseLinear) syncWt() {
-	sparse.Gather(l.Wt.Val, l.W.Val, l.wtPerm)
-}
-
-// Forward computes y = x·Wᵀ + b for x (n, in) — transposed-CSR SpMM on the
-// sparse path, a dense A·Bᵀ GEMM over the masked-dense weight otherwise.
+// Forward computes y = x·Wᵀ + b for x (n, in) with the transposed-CSR SpMM.
 func (l *SparseLinear) Forward(a *tensor.Arena, x *tensor.Tensor, train bool) (*tensor.Tensor, any) {
 	if x.Rank() != 2 || x.Dim(1) != l.in {
 		panic(fmt.Sprintf("nn: SparseLinear(%d,%d) got input %v", l.in, l.out, x.Shape()))
 	}
-	n := x.Dim(0)
-	y := a.Get(n, l.out)
-	// A fresh flag may only ever be set by THIS microbatch's forward: an
-	// optimizer step may have run since the flag was last set (a training
-	// forward whose backward never ran leaves it set), so the copy it
-	// describes can hold pre-step weights.
-	l.denseFresh = false
-	ch := l.decide(sparse.XoverOpForward)
-	l.runForward(ch, y, x, train)
-	l.noteUse(ch)
+	y := a.Get(x.Dim(0), l.out)
+	l.W.SpMMTInto(y, x)
 	tensor.AddBias(y, l.B.Value)
 	if !train {
 		return y, nil
@@ -244,21 +156,10 @@ func (l *SparseLinear) Forward(a *tensor.Arena, x *tensor.Tensor, train bool) (*
 	return y, c
 }
 
-func (l *SparseLinear) runForward(ch sparse.XoverChoice, y, x *tensor.Tensor, train bool) {
-	if ch == sparse.XoverDense {
-		// In training the copy stays valid through this microbatch's
-		// backward (an optimizer step cannot intervene).
-		l.syncDense(train)
-		tensor.MatMulTInto(y, x, l.denseW, false)
-		return
-	}
-	l.W.SpMMTInto(y, x)
-}
-
 // Backward accumulates dW on the pattern via SDDMM (pruned entries are
-// never computed), db via a row sum, and returns dx = dy·W — the
-// transposed-CSR SpMM against the cached transpose on the sparse path, a
-// dense GEMM otherwise.
+// never computed), db via a row sum, and returns dx = dy·W — a dense GEMM
+// over W expanded into arena scratch when sparse.Xover says so, the
+// transposed-CSR SpMM against the cached transpose otherwise.
 func (l *SparseLinear) Backward(a *tensor.Arena, cache any, gradOut *tensor.Tensor) *tensor.Tensor {
 	c := cache.(*sparseLinearCache)
 	nb := gradOut.Dim(0)
@@ -273,27 +174,20 @@ func (l *SparseLinear) Backward(a *tensor.Arena, cache any, gradOut *tensor.Tens
 	tensor.SumRowsInto(l.B.Grad, gradOut, true)
 
 	dx := a.Get(nb, l.in)
-	ch := l.decide(sparse.XoverOpBackward)
-	l.runBackward(ch, dx, gradOut)
-	l.noteUse(ch)
+	if sparse.Xover(l.W.NNZ(), l.in*l.out) {
+		w := a.Get(l.out, l.in)
+		l.W.DenseInto(w)
+		tensor.MatMulInto(dx, gradOut, w, false)
+	} else {
+		// Refresh the cached transpose's values on every backward: the
+		// layer cannot observe optimizer steps, and the O(nnz) gather is
+		// ≤1/batch of the O(batch·nnz) product it precedes.
+		sparse.Gather(l.Wt.Val, l.W.Val, l.wtPerm)
+		l.Wt.SpMMTInto(dx, gradOut)
+	}
 	c.x = nil
 	sparseLinearCaches.Put(c)
 	return dx
-}
-
-func (l *SparseLinear) runBackward(ch sparse.XoverChoice, dx, dy *tensor.Tensor) {
-	if ch == sparse.XoverDense {
-		// Skip the O(out·in) re-materialization when this microbatch's
-		// forward already synced the copy.
-		if l.denseW == nil || !l.denseFresh {
-			l.syncDense(false)
-		}
-		l.denseFresh = false
-		tensor.MatMulInto(dx, dy, l.denseW, false)
-		return
-	}
-	l.syncWt()
-	l.Wt.SpMMTInto(dx, dy)
 }
 
 // Params returns the compressed weight vector and the bias.
@@ -310,11 +204,10 @@ func (l *SparseLinear) PatternIDs() []int32 { return l.W.LinearIDs() }
 
 // ShrinkPattern compacts the layer onto the kept pattern positions, in
 // place: W's CSR shrinks, the cached transpose and its refresh permutation
-// are rebuilt inside their existing backing arrays, the masked-dense
-// fallback (which addresses the old pattern) is dropped for the next
-// dense-path product to re-materialize, and Wv re-heads onto the compacted
-// value prefix so the optimizer state vectors can shrink in lockstep. Weight values are untouched: kept
-// weights keep their exact bits.
+// are rebuilt inside their existing backing arrays, and Wv re-heads onto
+// the compacted value prefix so the optimizer state vectors can shrink in
+// lockstep. Weight values are untouched: kept weights keep their exact
+// bits.
 func (l *SparseLinear) ShrinkPattern(keep []bool) {
 	if len(keep) != l.W.NNZ() {
 		panic(fmt.Sprintf("nn: ShrinkPattern keep length %d, want %d", len(keep), l.W.NNZ()))
@@ -333,7 +226,6 @@ func (l *SparseLinear) ShrinkPattern(keep []bool) {
 	}
 	l.W.ShrinkTo(keep)
 	l.wtPerm = l.W.TransposePermInto(l.Wt, l.wtPerm)
-	l.denseW, l.denseIx, l.denseIdle, l.denseFresh = nil, nil, 0, false
 	nnz := l.W.NNZ()
 	l.Wv.Value = tensor.FromSlice(l.W.Val, nnz)
 	if l.Wv.Grad != nil {

@@ -25,17 +25,17 @@ func sparsePair(in, out int, sparsity float64, seed uint64) (*Linear, *SparseLin
 	return dense, sl, ix
 }
 
-// TestSparseLinearMatchesMaskedDense pins both execution paths of the
-// layer — the CSR kernels and the masked-dense GEMM fallback — against the
-// masked-dense nn.Linear reference: same outputs, same input gradients,
-// weight gradients equal to the dense gradient restricted to the pattern
-// (and NO entries beyond it), same bias gradients. Run through an arena,
-// as the trainer drives it.
+// TestSparseLinearMatchesMaskedDense pins both input-gradient paths of the
+// layer — the CSR kernel (sparsity 0.8) and the dense GEMM over the
+// expanded weight (sparsity 0.25, more than half the weights kept) —
+// against the masked-dense nn.Linear reference: same outputs, same input
+// gradients, weight gradients equal to the dense gradient restricted to
+// the pattern (and NO entries beyond it), same bias gradients. Run through
+// an arena, as the trainer drives it.
 func TestSparseLinearMatchesMaskedDense(t *testing.T) {
-	for _, exec := range []ExecMode{ExecSparse, ExecDense} {
-		t.Run(fmt.Sprintf("exec=%d", exec), func(t *testing.T) {
-			dense, sl, ix := sparsePair(12, 9, 0.8, 1)
-			sl.Exec = exec
+	for _, sparsity := range []float64{0.8, 0.25} {
+		t.Run(fmt.Sprintf("sparsity=%g", sparsity), func(t *testing.T) {
+			dense, sl, ix := sparsePair(12, 9, sparsity, 1)
 			x := tensor.New(5, 12)
 			tensor.FillNormal(x, 1, tensor.NewRNG(2))
 			gy := tensor.New(5, 9)
@@ -92,7 +92,6 @@ func TestSparseLinearMatchesMaskedDense(t *testing.T) {
 // after the backward's refresh — to the cached transpose.
 func TestSparseLinearOptimizerAliasing(t *testing.T) {
 	_, sl, _ := sparsePair(8, 6, 0.5, 5)
-	sl.Exec = ExecSparse
 	x := tensor.New(3, 8)
 	tensor.FillNormal(x, 1, tensor.NewRNG(6))
 	for i, v := range sl.Wv.Value.Data() {
@@ -131,7 +130,6 @@ func TestSparseLinearSGDTracksMaskedDense(t *testing.T) {
 	}
 
 	dense, sl, ix := sparsePair(8, 6, 0.6, 7)
-	sl.Exec = ExecSparse
 	ps := sl.Params()
 	if len(ps) != 2 || ps[0] != sl.Wv || ps[0].Value.Len() != ix.NNZ() || ps[1].Value.Len() != 6 {
 		t.Fatalf("Params = %v, want the %d-long weight vector and the 6-long bias", ps, ix.NNZ())
@@ -171,36 +169,36 @@ func TestSparseLinearSGDTracksMaskedDense(t *testing.T) {
 	}
 }
 
-// TestSparseLinearDenseCopyNeverStale pins the denseFresh protocol against
-// path flips: a fresh flag set by one microbatch's dense forward must not
-// let a LATER microbatch's dense backward skip re-materialization after the
-// weights changed — the flag may only be consumed by the same microbatch
-// that set it. (The sequence below flips a layer's Exec between
-// microbatches, as a caller pinning paths may.)
+// TestSparseLinearDenseCopyNeverStale pins the dense input-gradient path
+// against stale weights: a backward of a layer keeping more than half its
+// weights, run after an optimizer-style write through the Wv alias, must
+// expand the CURRENT weights — bitwise equal to the GEMM over W.Dense().
 func TestSparseLinearDenseCopyNeverStale(t *testing.T) {
-	_, sl, _ := sparsePair(10, 8, 0.5, 21)
+	_, sl, _ := sparsePair(10, 8, 0.25, 21)
+	if !sparse.Xover(sl.NNZ(), sl.PatternFullLen()) {
+		t.Fatal("the rule keeps this layer's input gradient sparse; the test needs the dense path")
+	}
 	x := tensor.New(4, 10)
 	tensor.FillNormal(x, 1, tensor.NewRNG(22))
 	gy := tensor.New(4, 8)
 	tensor.FillNormal(gy, 1, tensor.NewRNG(23))
+	arena := tensor.NewArena()
 
-	// Microbatch 1: dense forward sets the fresh flag, sparse backward
-	// leaves it unconsumed.
-	sl.Exec = ExecDense
-	_, c := sl.Forward(nil, x, true)
-	sl.Exec = ExecSparse
-	sl.Backward(nil, c, gy)
+	_, c := sl.Forward(arena, x, true)
+	sl.Backward(arena, c, gy)
+	arena.Reset()
 	// Optimizer step: weights change through the alias.
 	for i, v := range sl.Wv.Value.Data() {
 		sl.Wv.Value.Data()[i] = v + 1
 	}
-	// Microbatch 2: sparse forward, dense backward — must re-materialize.
-	_, c = sl.Forward(nil, x, true)
-	sl.Exec = ExecDense
-	dx := sl.Backward(nil, c, gy)
-	want := tensor.MatMul(gy, sl.W.Dense())
-	if d := tensor.MaxAbsDiff(dx, want); d > 1e-4 {
-		t.Fatalf("dense backward used a stale masked-dense copy: diff %g", d)
+	_, c = sl.Forward(arena, x, true)
+	dx := sl.Backward(arena, c, gy)
+	want := tensor.New(4, 10)
+	tensor.MatMulInto(want, gy, sl.W.Dense(), false)
+	for i, v := range want.Data() {
+		if math.Float32bits(dx.Data()[i]) != math.Float32bits(v) {
+			t.Fatalf("dense backward used stale weights at %d: %g vs %g", i, dx.Data()[i], v)
+		}
 	}
 }
 
@@ -226,8 +224,7 @@ func TestSparsify(t *testing.T) {
 	}
 	nSparse := 0
 	for _, l := range sm.Layers {
-		if sl, ok := l.(*SparseLinear); ok {
-			sl.Exec = ExecSparse
+		if _, ok := l.(*SparseLinear); ok {
 			nSparse++
 		}
 	}
@@ -243,60 +240,49 @@ func TestSparsify(t *testing.T) {
 	}
 }
 
-// TestSparseLinearCrossoverProbesAndFreezes drives auto-mode layers through
-// the crossover rule: a 90%-sparse layer runs both products on the CSR
-// kernels and never materializes the masked-dense copy, a 25%-sparse one
-// runs its forward sparse and its input gradient dense — bitwise equal to
-// the pinned paths, on every call — and the masked-dense scratch is
-// dropped after enough sparse-path calls.
-func TestSparseLinearCrossoverProbesAndFreezes(t *testing.T) {
+// TestSparseLinearPathsMatchKernels pins each product of the layer to the
+// kernel the crossover rule names, bitwise, over repeated arena-driven
+// steps: the forward is W.SpMMTInto plus the bias at every density; the
+// input gradient is tensor.MatMulInto over W.Dense() for a layer keeping
+// more than half its weights (sparsity 0.25) and Wt.SpMMTInto otherwise
+// (sparsity 0.9).
+func TestSparseLinearPathsMatchKernels(t *testing.T) {
 	x := tensor.New(16, 32)
 	tensor.FillNormal(x, 1, tensor.NewRNG(14))
 	gy := tensor.New(16, 24)
 	tensor.FillNormal(gy, 1, tensor.NewRNG(15))
-	run := func(sparsity float64, exec ExecMode) (*SparseLinear, []float32, []float32) {
-		_, sl, _ := sparsePair(32, 24, sparsity, 13)
-		sl.Exec = exec
-		var y, dx []float32
-		for i := 0; i < 3; i++ {
-			out, c := sl.Forward(nil, x, true)
-			y = out.Data()
-			dx = sl.Backward(nil, c, gy).Data()
-		}
-		return sl, y, dx
-	}
-	bitwise := func(what string, got, want []float32) {
+	bitwise := func(what string, got, want *tensor.Tensor) {
 		t.Helper()
-		for i := range want {
-			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-				t.Fatalf("%s differs from the pinned path at %d: %g vs %g", what, i, got[i], want[i])
+		for i, v := range want.Data() {
+			if math.Float32bits(got.Data()[i]) != math.Float32bits(v) {
+				t.Fatalf("%s differs from its kernel at %d: %g vs %g", what, i, got.Data()[i], v)
 			}
 		}
 	}
-
-	sl, y, dx := run(0.9, ExecAuto)
-	_, ys, dxs := run(0.9, ExecSparse)
-	bitwise("sparsity 0.9 forward", y, ys)
-	bitwise("sparsity 0.9 input gradient", dx, dxs)
-	if sl.denseW != nil {
-		t.Fatal("auto layer at sparsity 0.9 materialized the masked-dense copy")
-	}
-
-	sl, y, dx = run(0.25, ExecAuto)
-	_, ys, _ = run(0.25, ExecSparse)
-	_, _, dxd := run(0.25, ExecDense)
-	bitwise("sparsity 0.25 forward", y, ys)
-	bitwise("sparsity 0.25 input gradient", dx, dxd)
-	if sl.denseW == nil {
-		t.Fatal("auto layer at sparsity 0.25 never took the dense input-gradient path")
-	}
-	// Force the sparse path from here: the dense scratch must age out.
-	sl.Exec = ExecSparse
-	for i := 0; i < 2*denseDropAfter; i++ {
-		_, c := sl.Forward(nil, x, true)
-		sl.Backward(nil, c, gy)
-	}
-	if sl.denseW != nil {
-		t.Error("masked-dense scratch not released after sparse-only steady state")
+	for _, tc := range []struct {
+		sparsity float64
+		dense    bool
+	}{{0.9, false}, {0.25, true}} {
+		_, sl, _ := sparsePair(32, 24, tc.sparsity, 13)
+		if got := sparse.Xover(sl.NNZ(), sl.PatternFullLen()); got != tc.dense {
+			t.Fatalf("sparsity %g: Xover = %v, want %v", tc.sparsity, got, tc.dense)
+		}
+		wantY := tensor.New(16, 24)
+		sl.W.SpMMTInto(wantY, x)
+		tensor.AddBias(wantY, sl.B.Value)
+		wantDx := tensor.New(16, 32)
+		if tc.dense {
+			tensor.MatMulInto(wantDx, gy, sl.W.Dense(), false)
+		} else {
+			sl.Wt.SpMMTInto(wantDx, gy)
+		}
+		arena := tensor.NewArena()
+		for i := 0; i < 3; i++ {
+			y, c := sl.Forward(arena, x, true)
+			bitwise(fmt.Sprintf("sparsity %g forward", tc.sparsity), y, wantY)
+			dx := sl.Backward(arena, c, gy)
+			bitwise(fmt.Sprintf("sparsity %g input gradient", tc.sparsity), dx, wantDx)
+			arena.Reset()
+		}
 	}
 }

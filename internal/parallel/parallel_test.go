@@ -135,3 +135,38 @@ func TestRunZeroAlloc(t *testing.T) {
 		t.Fatalf("Run allocated %.1f times per call, want 0", allocs)
 	}
 }
+
+// TestClassPoolBound pins the retention rule both transports' buffer pools
+// rely on: a class-aligned slice is kept while the pool is under its bound,
+// a slice over the bound is kept only if its class is empty (so a buffer
+// bigger than the whole budget still round-trips), a slice whose capacity
+// is not a class size is never kept, and Drain releases everything.
+func TestClassPoolBound(t *testing.T) {
+	p := &ClassPool[byte]{Max: 64}
+	if b := p.Get(33); len(b) != 33 || cap(b) != 64 {
+		t.Fatalf("Get(33) = len %d cap %d, want 33/64", len(b), cap(b))
+	}
+	p.Put(make([]byte, 48)) // not a class size
+	if got := p.Retained(); got != 0 {
+		t.Fatalf("foreign slice pooled: retained %d", got)
+	}
+	p.Put(make([]byte, 64))
+	p.Put(make([]byte, 64)) // over the bound, class occupied: dropped
+	if got := p.Retained(); got != 64 {
+		t.Fatalf("retained %d after two 64-byte puts, want 64", got)
+	}
+	p.Put(make([]byte, 256)) // over the bound, class empty: kept
+	if got := p.Retained(); got != 320 {
+		t.Fatalf("retained %d after an oversized put, want 320", got)
+	}
+	if b := p.Get(200); cap(b) != 256 || p.Retained() != 64 {
+		t.Fatalf("Get(200) did not reuse the pooled 256-byte slice (cap %d, retained %d)", cap(b), p.Retained())
+	}
+	p.Drain()
+	if got := p.Retained(); got != 0 {
+		t.Fatalf("retained %d after Drain", got)
+	}
+	if p.Get(0) != nil {
+		t.Fatal("Get(0) should return nil")
+	}
+}

@@ -19,10 +19,8 @@
 // is all that is needed, and a sample served among strangers matches the
 // same sample replicated into a batch by itself, bit for bit. PadPow2
 // trades that invariance for less padding compute at light load. (A sparse
-// layer's sparse/dense execution path is the other path-dependent choice;
-// it is a fixed function of the layer's density, sparse.Xover, so a served
-// model runs the same paths as its training run and as every other
-// process.)
+// layer's forward has one path, its CSR kernel, so a served model runs the
+// same kernels as its training run and as every other process.)
 package serve
 
 import (

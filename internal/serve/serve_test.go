@@ -158,14 +158,14 @@ func TestServeBitwiseMatchesOffline(t *testing.T) {
 }
 
 // TestServeSparsifiedBitwise extends the golden to sparse execution: a
-// Sparsify'd model served through the engine matches its offline forward
-// with every sparse layer pinned to each execution path in turn.
+// Sparsify'd model served through the engine matches its offline forward,
+// for a sparse model (sparsity 0.9) and a mostly dense one (sparsity 0.25).
 func TestServeSparsifiedBitwise(t *testing.T) {
 	for _, tc := range []struct {
-		mode string
-		exec nn.ExecMode
-	}{{"sparse", nn.ExecSparse}, {"dense", nn.ExecDense}} {
-		t.Run(tc.mode, func(t *testing.T) {
+		name     string
+		sparsity float64
+	}{{"sparse", 0.9}, {"dense", 0.25}} {
+		t.Run(tc.name, func(t *testing.T) {
 
 			rng := tensor.NewRNG(23)
 			base := nn.BuildMLP("xmlp", []int{16, 32, 6}, rng)
@@ -173,12 +173,7 @@ func TestServeSparsifiedBitwise(t *testing.T) {
 			for _, e := range base.PruneLayers() {
 				layers = append(layers, prune.Layer{Name: e.Name, Values: e.Param.Value.Data()})
 			}
-			m := nn.Sparsify(base, prune.MagnitudePerLayer(layers, 0.9))
-			for _, l := range m.Layers {
-				if sl, ok := l.(*nn.SparseLinear); ok {
-					sl.Exec = tc.exec
-				}
-			}
+			m := nn.Sparsify(base, prune.MagnitudePerLayer(layers, tc.sparsity))
 			samples := make([]*tensor.Tensor, 20)
 			for i := range samples {
 				x := tensor.New(1, 16)

@@ -48,8 +48,8 @@ func TestCompressExpandZeroAlloc(t *testing.T) {
 }
 
 // TestSparseKernelsZeroAlloc pins the sparse training kernels — SpMMInto,
-// the transposed SpMMTInto, SDDMMInto and the cached-transpose Gather
-// refresh — at zero steady-state allocations: since PR 5 they sit on the
+// the transposed SpMMTInto, SDDMMInto, the cached-transpose Gather refresh
+// and the DenseInto expansion behind the dense input gradient — at zero steady-state allocations: since PR 5 they sit on the
 // pruned FC layers' per-microbatch hot path, under the same contract as the
 // dense GEMM family (pooled jobs, caller buffers).
 func TestSparseKernelsZeroAlloc(t *testing.T) {
@@ -64,6 +64,7 @@ func TestSparseKernelsZeroAlloc(t *testing.T) {
 	dx := tensor.New(64, 96)    // transposed SpMMT output
 	yT := tensor.New(128, 64)   // SpMM output
 	grad := make([]float32, w.NNZ())
+	wd := tensor.New(128, 96)
 
 	// Warm the job free lists and the worker pool.
 	w.SpMMTInto(y, x)
@@ -71,6 +72,7 @@ func TestSparseKernelsZeroAlloc(t *testing.T) {
 	w.SpMMInto(yT, xT)
 	w.SDDMMInto(grad, dyT, xT, true)
 	Gather(wt.Val, w.Val, perm)
+	w.DenseInto(wd)
 
 	if a := testing.AllocsPerRun(50, func() { w.SpMMTInto(y, x) }); a != 0 {
 		t.Errorf("SpMMTInto allocates %.1f per call, want 0", a)
@@ -86,5 +88,8 @@ func TestSparseKernelsZeroAlloc(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(50, func() { Gather(wt.Val, w.Val, perm) }); a != 0 {
 		t.Errorf("Gather allocates %.1f per call, want 0", a)
+	}
+	if a := testing.AllocsPerRun(50, func() { w.DenseInto(wd) }); a != 0 {
+		t.Errorf("DenseInto allocates %.1f per call, want 0", a)
 	}
 }

@@ -10,14 +10,14 @@ import (
 // BenchmarkSpMM is the sparse-vs-dense kernel matrix of the FC forward
 // product y = x·Wᵀ at the paper's batch (576) computed by the dense GEMM
 // over the masked-dense weight versus the transposed-CSR SpMM, across the
-// evaluation's sparsity range. scripts/bench.sh gates the high-sparsity points (≥90%) at
-// MIN_SPMM_SPEEDUP — the whole premise of first-class sparse execution is
-// that pruned FLOPs convert to time there — and records the full matrix in
-// BENCH_kernels.json; at 50–75% sparsity the bare dense kernel is allowed
-// to win. The layer's crossover rule (Xover) still runs the forward sparse
-// there, because the layer's dense path also re-materializes the
-// masked-dense weight on every call; the sweep behind the rule is recorded
-// in CHANGES.md.
+// evaluation's sparsity range. scripts/bench.sh gates the high-sparsity
+// points (≥90%) at MIN_SPMM_SPEEDUP — the whole premise of first-class
+// sparse execution is that pruned FLOPs convert to time there — and records
+// the full matrix in BENCH_kernels.json; at 50–75% sparsity the bare dense
+// kernel is allowed to win. The dense column is a reference only:
+// nn.SparseLinear has no dense forward, since a masked-dense weight would
+// first have to be expanded from CSR on every call (the sweep behind the
+// crossover rule, Xover, is recorded in CHANGES.md).
 func BenchmarkSpMM(b *testing.B) {
 	const batch = 576
 	for _, dim := range []int{256, 512} {

@@ -7,10 +7,11 @@ import (
 	"github.com/sparse-dl/samo/internal/tensor"
 )
 
-// CSR is a compressed-sparse-row matrix. It backs the Sputnik-style sparse
-// compute baseline: the paper integrates Sputnik's spMM/SDDMM into AxoNN to
-// show that computing sparse is slower than computing dense at DL sparsities,
-// which is precisely why SAMO compresses *storage* but not *compute*.
+// CSR is a compressed-sparse-row matrix: the weight storage of
+// nn.SparseLinear and its Sputnik-style kernels. The paper integrates
+// Sputnik's spMM/SDDMM into AxoNN to show that computing sparse is slower
+// than computing dense at DL sparsities, which is precisely why SAMO
+// compresses *storage* but not *compute*.
 type CSR struct {
 	Rows, Cols int
 	RowPtr     []int32
@@ -83,13 +84,34 @@ func (m *CSR) Bytes() int64 {
 // Dense materializes the matrix as a dense tensor.
 func (m *CSR) Dense() *tensor.Tensor {
 	t := tensor.New(m.Rows, m.Cols)
-	d := t.Data()
-	for i := 0; i < m.Rows; i++ {
+	m.DenseInto(t)
+	return t
+}
+
+// DenseInto materializes the matrix into a caller-provided tensor of
+// rows·cols elements without allocating: zeros everywhere except the
+// stored entries. Parallel over rows; each worker zero-fills and scatters
+// its own rows.
+func (m *CSR) DenseInto(t *tensor.Tensor) {
+	if t.Len() != m.Rows*m.Cols {
+		panic(fmt.Sprintf("sparse: DenseInto output has %d elements, want %d", t.Len(), m.Rows*m.Cols))
+	}
+	j := getCSRJob()
+	j.m, j.out = m, t.Data()
+	parallel.Run(m.Rows, csrRowGrain(m.Rows, m.Rows*m.Cols), j, denseChunk)
+	putCSRJob(j)
+}
+
+func denseChunk(ctx any, lo, hi int) {
+	g := ctx.(*csrJob)
+	m, d := g.m, g.out
+	clear(d[lo*m.Cols : hi*m.Cols])
+	for i := lo; i < hi; i++ {
+		row := d[i*m.Cols : (i+1)*m.Cols]
 		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			d[i*m.Cols+int(m.ColIdx[p])] = m.Val[p]
+			row[m.ColIdx[p]] = m.Val[p]
 		}
 	}
-	return t
 }
 
 // csrRowGrain returns the minimum CSR rows per parallel chunk so that one
@@ -111,8 +133,7 @@ func csrRowGrain(rows, work int) int {
 }
 
 // csrJob carries one sparse kernel's arguments to the worker pool; pooled
-// so the sparse training and baseline paths dispatch without allocating
-// closures.
+// so the sparse training paths dispatch without allocating closures.
 type csrJob struct {
 	m          *CSR
 	a, b       []float32

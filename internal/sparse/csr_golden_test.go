@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/sparse-dl/samo/internal/tensor"
@@ -126,6 +127,31 @@ func TestSpMMTGolden(t *testing.T) {
 					t.Fatalf("SpMMTInto differs from dense by %g", d)
 				}
 			})
+		}
+	}
+}
+
+// TestDenseIntoGolden pins the parallel expansion against the matrix it
+// came from at several worker counts: a destination full of stale values
+// must come back holding exactly the stored entries and zeros elsewhere.
+func TestDenseIntoGolden(t *testing.T) {
+	defer tensor.SetWorkers(tensor.SetWorkers(0))
+	for _, sh := range []struct {
+		rows, cols int
+		density    float64
+	}{{1, 1, 1}, {7, 13, 0.5}, {128, 96, 0.1}, {300, 257, 0.75}, {64, 64, 0}} {
+		w, want := randMaskedCSR(sh.rows, sh.cols, sh.density, uint64(sh.rows*sh.cols))
+		for _, workers := range []int{1, 2, 3, 8} {
+			tensor.SetWorkers(workers)
+			got := tensor.New(sh.rows, sh.cols)
+			got.Fill(7)
+			w.DenseInto(got)
+			for i, v := range want.Data() {
+				if math.Float32bits(got.Data()[i]) != math.Float32bits(v) {
+					t.Fatalf("%dx%d workers=%d: element %d = %g, want %g",
+						sh.rows, sh.cols, workers, i, got.Data()[i], v)
+				}
+			}
 		}
 	}
 }

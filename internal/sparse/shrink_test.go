@@ -125,9 +125,9 @@ func TestCSRShrinkToEmptyThenKernels(t *testing.T) {
 }
 
 // TestDensityBandAndXoverEmptyPattern pins the crossover rule at its
-// edges: an empty pattern (no division by zero) runs sparse for both
-// products, the forward is always sparse, and the input gradient switches
-// to dense exactly when more than half of the weights are kept.
+// edges: an empty pattern (no division by zero) keeps the input gradient
+// sparse, and it switches to dense exactly when more than half of the
+// weights are kept.
 func TestDensityBandAndXoverEmptyPattern(t *testing.T) {
 	if got := densityBand(0, 1024); got != 0 {
 		t.Fatalf("densityBand(0, 1024) = %d, want 0 (no division by zero)", got)
@@ -136,28 +136,23 @@ func TestDensityBandAndXoverEmptyPattern(t *testing.T) {
 		t.Fatalf("densityBand(0, 0) = %d, want 0", got)
 	}
 	for _, tc := range []struct {
-		op        XoverOp
 		nnz, full int
-		want      XoverChoice
+		dense     bool
 	}{
-		{XoverOpForward, 0, 64, XoverSparse},
-		{XoverOpBackward, 0, 64, XoverSparse},
-		{XoverOpBackward, 0, 0, XoverSparse},
-		{XoverOpForward, 64, 64, XoverSparse},
-		{XoverOpForward, 48, 64, XoverSparse},
-		{XoverOpForward, 1, 64, XoverSparse},
-		{XoverOpBackward, 64, 64, XoverDense},  // unpruned
-		{XoverOpBackward, 48, 64, XoverDense},  // density 0.75
-		{XoverOpBackward, 33, 64, XoverDense},  // just above half
-		{XoverOpBackward, 32, 64, XoverSparse}, // exactly half
-		{XoverOpBackward, 31, 64, XoverSparse},
-		{XoverOpBackward, 6, 64, XoverSparse}, // density 0.1
-		{XoverOpBackward, 1, 64, XoverSparse},
-		{XoverOpBackward, 500001, 1000000, XoverDense},
-		{XoverOpBackward, 500000, 1000001, XoverSparse},
+		{0, 64, false},
+		{0, 0, false},
+		{64, 64, true},  // unpruned
+		{48, 64, true},  // density 0.75
+		{33, 64, true},  // just above half
+		{32, 64, false}, // exactly half
+		{31, 64, false},
+		{6, 64, false}, // density 0.1
+		{1, 64, false},
+		{500001, 1000000, true},
+		{500000, 1000001, false},
 	} {
-		if got := Xover(tc.op, tc.nnz, tc.full); got != tc.want {
-			t.Errorf("Xover(%d, nnz=%d, full=%d) = %v, want %v", tc.op, tc.nnz, tc.full, got, tc.want)
+		if got := Xover(tc.nnz, tc.full); got != tc.dense {
+			t.Errorf("Xover(nnz=%d, full=%d) = %v, want %v", tc.nnz, tc.full, got, tc.dense)
 		}
 	}
 }

@@ -77,17 +77,16 @@
 // contract (pinned by determinism goldens and the FuzzSpMMInto/
 // FuzzSpMMTInto/FuzzSDDMMInto targets).
 //
-// Because sparse kernels only win above a density-dependent threshold, each
-// product follows a fixed sparse/dense crossover rule of the layer's
-// density: the forward always runs the CSR kernel, and the input gradient
-// of a layer keeping more than half its weights runs the dense GEMM over a
-// masked-dense copy, where the GEMM is faster. The rule is a pure function
-// of (product, nnz, dense size), measured once on the AVX2 kernels and
+// Because sparse kernels only win above a density-dependent threshold, the
+// input gradient follows a fixed sparse/dense crossover rule of the layer's
+// density: a layer keeping more than half its weights expands them into
+// arena scratch on each backward and runs the dense GEMM, where it is
+// faster; every other product runs the CSR kernels. The rule is a pure
+// function of (nnz, dense size), measured once on the AVX2 kernels and
 // recorded in CHANGES.md, so Sparsify'd training and serving are bitwise
 // reproducible from run to run, from process to process and across amd64
-// machines. nn.SparseLinear's Exec field pins a layer to either path;
-// scripts/bench.sh gates the ≥90%-sparsity points of the BenchmarkSpMM
-// matrix at MIN_SPMM_SPEEDUP.
+// machines. scripts/bench.sh gates the ≥90%-sparsity points of the
+// BenchmarkSpMM matrix at MIN_SPMM_SPEEDUP.
 //
 // # Serving
 //
@@ -395,9 +394,10 @@ func NewGradualPruner(s *State, sched PruneSchedule) (*GradualPruner, error) {
 // first-class sparse-execution layer (nn.SparseLinear): CSR weights, SpMM
 // forward, SDDMM weight gradient restricted to the surviving pattern, and
 // the fixed density-aware crossover rule that computes the input gradient
-// of a layer keeping more than half its weights on the masked-dense GEMM,
-// where sparse kernels would lose. Unconverted layers are shared with the
-// original model — train one model or the other, not both.
+// of a layer keeping more than half its weights with a dense GEMM over the
+// weight expanded per backward, where sparse kernels would lose.
+// Unconverted layers are shared with the original model — train one model
+// or the other, not both.
 func Sparsify(m *Model, pr *PruneResult) *Model { return nn.Sparsify(m, pr) }
 
 // EarlyBird is the convergence-tested pruning algorithm the paper uses
