@@ -223,40 +223,96 @@ func TestServePadPow2(t *testing.T) {
 	}
 }
 
+// gateLayer is an identity layer whose forward blocks until release is
+// closed, signalling entered on its first call: appended to a model, it
+// wedges the batching loop inside a batch for as long as a test needs.
+type gateLayer struct {
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gateLayer) Forward(a *tensor.Arena, x *tensor.Tensor, _ bool) (*tensor.Tensor, any) {
+	g.once.Do(func() { close(g.entered) })
+	<-g.release
+	y := a.Get(x.Shape()...)
+	copy(y.Data(), x.Data())
+	return y, nil
+}
+
+func (g *gateLayer) Backward(*tensor.Arena, any, *tensor.Tensor) *tensor.Tensor {
+	panic("gateLayer: forward-only")
+}
+
+func (g *gateLayer) Params() []*nn.Param { return nil }
+
 // TestServeBackpressure pins the admission contract: with the batching loop
 // wedged, a full queue rejects instantly with ErrOverloaded and counts the
-// rejection — it never blocks the caller.
+// rejection — it never blocks the caller — and the admitted requests are
+// served once the loop moves again.
 func TestServeBackpressure(t *testing.T) {
 	rng := tensor.NewRNG(31)
 	m := nn.BuildMLP("bmlp", []int{8, 8, 3}, rng)
-	// MaxBatch 1 + tiny queue: the loop is busy serving slow singleton
-	// batches while we overfill the queue from many goroutines.
-	e := New(newInferenceState(m), Config{MaxBatch: 1, QueueDepth: 2})
+	gate := &gateLayer{entered: make(chan struct{}), release: make(chan struct{})}
+	m.Layers = append(m.Layers, gate)
+	const depth = 2
+	e := New(newInferenceState(m), Config{MaxBatch: 1, QueueDepth: depth})
 	defer e.Close()
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(gate.release) }) }
+	defer release() // runs before Close, so a failing test cannot hang it
 
-	var rejected atomic.Int64
+	// Wedge the loop: its first batch blocks inside the gate layer.
+	errs := make(chan error, 64)
 	var wg sync.WaitGroup
-	for c := 0; c < 16; c++ {
+	infer := func() {
+		defer wg.Done()
+		_, err := e.Infer(tensor.New(1, 8))
+		errs <- err
+	}
+	wg.Add(1)
+	go infer()
+	select {
+	case <-gate.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("batching loop never started the first batch")
+	}
+
+	// With the loop wedged exactly depth submissions fit in the queue; every
+	// other one must come back at once with ErrOverloaded.
+	const n = 16
+	for c := 0; c < n; c++ {
 		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 8; i++ {
-				x := tensor.New(1, 8)
-				if _, err := e.Infer(x); err == ErrOverloaded {
-					rejected.Add(1)
-				} else if err != nil {
-					t.Error(err)
-					return
-				}
+		go infer()
+	}
+	for i := 0; i < n-depth; i++ {
+		select {
+		case err := <-errs:
+			if err != ErrOverloaded {
+				t.Fatalf("wedged engine returned %v, want ErrOverloaded", err)
 			}
-		}()
+		case <-time.After(10 * time.Second):
+			t.Fatalf("only %d of %d rejections returned; a full queue blocked its caller", i, n-depth)
+		}
 	}
+	if got := e.Stats().Rejected; got != n-depth {
+		t.Fatalf("stats count %d rejections, callers saw %d", got, n-depth)
+	}
+
+	// Unwedged, the first request and the depth queued ones are all served.
+	release()
 	wg.Wait()
-	if rejected.Load() == 0 {
-		t.Skip("queue never filled on this machine; backpressure untestable here")
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatalf("admitted request failed: %v", err)
+		}
 	}
-	if got := e.Stats().Rejected; got != rejected.Load() {
-		t.Fatalf("stats count %d rejections, callers saw %d", got, rejected.Load())
+	if err := e.Close(); err != nil { // loop exited: its counters are final
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.Requests != 1+depth || st.Rejected != n-depth {
+		t.Fatalf("stats %+v, want %d requests and %d rejections", st, 1+depth, n-depth)
 	}
 }
 
